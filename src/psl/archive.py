@@ -23,6 +23,17 @@ needs no truth distribution at all: the mean of -log2 of the density
 ratio between two systems at the realized outcomes.  Its
 ``probability_ratio`` reading is 2 to the minus bits: -1 bit means the
 first system assigned twice the probability on average.
+
+Scoring is columnar, one system at a time.  The system's Gaussian
+mixtures are stacked into padded (n, K) weight/mean/sd arrays and its
+histograms into padded (n, B+1) break and (n, B) mass arrays, and each
+stack is scored in one pass of the broadcasting kernels in
+``distributions`` and ``scores``.  A system's log densities are computed
+once and serve its ignorance score and every relative-ignorance pair
+it is part of.  Records that no kernel covers keep the per-record
+``score`` path: pushforward densities, the energy family (with its
+per-record child streams), and power or pseudospherical exponents
+other than 2 on multi-component mixtures, whose norm needs quadrature.
 """
 
 from __future__ import annotations
@@ -33,12 +44,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distributions import density_from_json, density_to_json, gaussian
-from .scores import ScoreSpec, score
+from .distributions import (GaussianMixture, PiecewiseUniform,
+                            density_from_json, density_to_json, gaussian,
+                            histogram_lp_integral, histogram_pdf,
+                            mixture_log_pdf, mixture_lp_integral, mixture_pdf)
+from .scores import (ScoreSpec, histogram_crps, ignorance_bits, mixture_crps,
+                     power_rule, pseudospherical_rule, score)
 
 __all__ = [
     "ForecastRecord", "EmpiricalScore", "RelativeIgnorance", "EvalReport",
@@ -202,6 +217,123 @@ def _require_system(records: Sequence[ForecastRecord], system: str):
             raise ValueError(f"system {system!r} is missing from {where}")
 
 
+def _pad(rows, fill: Optional[float] = None) -> np.ndarray:
+    """Stack 1-D arrays into an (n, L) array, padding short rows with
+    ``fill`` or, when it is None, with each row's last entry."""
+    out = np.empty((len(rows), max(len(r) for r in rows)))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+        out[i, len(r):] = r[-1] if fill is None else fill
+    return out
+
+
+class _Stack(NamedTuple):
+    """Same-type densities of one system as padded parameter rows."""
+
+    idx: np.ndarray
+    params: tuple
+    pdf: Callable
+    log_pdf: Callable
+    crps: Callable
+    lp_integral: Callable
+
+
+def _histogram_log_pdf(y, breaks, masses):
+    with np.errstate(divide="ignore"):
+        return np.log(histogram_pdf(y, breaks, masses))
+
+
+class _SystemColumns:
+    """One system's forecasts, stacked by density type for batch scoring."""
+
+    def __init__(self, records: Sequence[ForecastRecord], system: str):
+        _require_system(records, system)
+        self.records = records
+        self.system = system
+        self.y = np.array([rec.outcome for rec in records])
+        groups = {GaussianMixture: [], PiecewiseUniform: []}
+        other = []
+        for i, rec in enumerate(records):
+            groups.get(type(rec.forecasts[system]), other).append(i)
+        self.other = other
+        self.stacks = []
+        mix, hist = groups[GaussianMixture], groups[PiecewiseUniform]
+        if mix:
+            ds = [records[i].forecasts[system] for i in mix]
+            self.stacks.append(_Stack(
+                np.array(mix),
+                (_pad([d.weights for d in ds], 0.0),
+                 _pad([d.means for d in ds], 0.0),
+                 _pad([d.stddevs for d in ds], 1.0)),
+                mixture_pdf, mixture_log_pdf, mixture_crps,
+                mixture_lp_integral))
+        if hist:
+            ds = [records[i].forecasts[system] for i in hist]
+            self.stacks.append(_Stack(
+                np.array(hist),
+                (_pad([d.breaks for d in ds]),
+                 _pad([d.masses for d in ds], 0.0)),
+                histogram_pdf, _histogram_log_pdf, histogram_crps,
+                histogram_lp_integral))
+        self._log_pdf = None
+
+    def density(self, i: int):
+        return self.records[i].forecasts[self.system]
+
+    def log_pdf(self) -> np.ndarray:
+        """Natural log of each record's forecast density at its outcome."""
+        if self._log_pdf is None:
+            out = np.empty(len(self.y))
+            for st in self.stacks:
+                out[st.idx] = st.log_pdf(self.y[st.idx], *st.params)
+            for i in self.other:
+                out[i] = float(self.density(i).log_pdf(self.y[i]))
+            self._log_pdf = out
+        return self._log_pdf
+
+    def score(self, spec: ScoreSpec, *, seed: Optional[int], n: int,
+              density_floor: Optional[float]) -> EmpiricalScore:
+        fam = spec.family
+        if fam == "ignorance":
+            vals = ignorance_bits(self.log_pdf(), density_floor)
+            return EmpiricalScore(value=float(np.mean(vals)),
+                                  count=len(vals),
+                                  infinite_count=int(np.sum(np.isinf(vals))))
+        vals = np.empty(len(self.y))
+        rest = list(self.other)
+        streams = None
+        if fam == "energy":
+            if seed is None:
+                raise ValueError("energy score requires an explicit seed")
+            streams = np.random.SeedSequence(seed).spawn(len(self.y))
+            rest = range(len(self.y))
+        else:
+            for st in self.stacks:
+                y = self.y[st.idx]
+                if fam == "crps":
+                    vals[st.idx] = st.crps(y, *st.params)
+                elif fam == "naive_linear":
+                    vals[st.idx] = -st.pdf(y, *st.params)
+                else:
+                    k = spec.alpha if fam == "power" else spec.beta
+                    rule = power_rule if fam == "power" else \
+                        pseudospherical_rule
+                    norm = st.lp_integral(*st.params, k)
+                    ok = ~np.isnan(norm)
+                    p = st.pdf(y[ok], *(a[ok] for a in st.params))
+                    vals[st.idx[ok]] = rule(p, norm[ok], k)
+                    rest.extend(st.idx[~ok].tolist())
+        infinite_count = 0
+        for i in sorted(rest):
+            kw = {"seed": streams[i], "n": n} if streams is not None else {}
+            sv = score(spec, self.density(i), self.y[i],
+                       density_floor=density_floor, **kw)
+            infinite_count += sv.infinite
+            vals[i] = sv.value
+        return EmpiricalScore(value=float(np.mean(vals)), count=len(vals),
+                              infinite_count=infinite_count)
+
+
 def empirical_score(spec: ScoreSpec, records: Sequence[ForecastRecord],
                     system: str, *, seed: Optional[int] = None,
                     n: int = 1_000_000,
@@ -212,24 +344,8 @@ def empirical_score(spec: ScoreSpec, records: Sequence[ForecastRecord],
     from ``seed``.   An infinite ignorance contribution makes the mean
     infinite and is counted, never silently dropped.
     """
-    _require_system(records, system)
-    if spec.family == "energy":
-        if seed is None:
-            raise ValueError("energy score requires an explicit seed")
-        streams = np.random.SeedSequence(seed).spawn(len(records))
-    vals = np.empty(len(records))
-    infinite_count = 0
-    for i, rec in enumerate(records):
-        kw = {}
-        if spec.family == "energy":
-            kw = {"seed": streams[i], "n": n}
-        sv = score(spec, rec.forecasts[system], rec.outcome,
-                   density_floor=density_floor, **kw)
-        if sv.infinite:
-            infinite_count += 1
-        vals[i] = sv.value
-    return EmpiricalScore(value=float(np.mean(vals)), count=len(records),
-                          infinite_count=infinite_count)
+    return _SystemColumns(records, system).score(
+        spec, seed=seed, n=n, density_floor=density_floor)
 
 
 class RelativeIgnorance(NamedTuple):
@@ -237,6 +353,20 @@ class RelativeIgnorance(NamedTuple):
 
     bits: float
     probability_ratio: float
+
+
+def _relative(c1: _SystemColumns, c2: _SystemColumns) -> RelativeIgnorance:
+    lp1, lp2 = c1.log_pdf(), c2.log_pdf()
+    both = (lp1 == -math.inf) & (lp2 == -math.inf)
+    if both.any():
+        i = int(np.argmax(both))
+        line = c1.records[i].line
+        where = f"line {line}" if line is not None else f"record {i + 1}"
+        raise ValueError("both forecasts assign zero density to the "
+                         f"outcome ({where}); the ratio is undefined")
+    mean_bits = float(np.mean(-(lp1 - lp2) * _INV_LN2))
+    return RelativeIgnorance(bits=mean_bits,
+                             probability_ratio=2.0 ** (-mean_bits))
 
 
 def relative_empirical_ignorance(records: Sequence[ForecastRecord],
@@ -249,27 +379,8 @@ def relative_empirical_ignorance(records: Sequence[ForecastRecord],
     (``probability_ratio`` 2).  A record where both densities vanish has
     no defined ratio and raises, naming the record.
     """
-    _require_system(records, system1)
-    _require_system(records, system2)
-    bits = np.empty(len(records))
-    for i, rec in enumerate(records):
-        lp1 = _log_density(rec.forecasts[system1], rec.outcome)
-        lp2 = _log_density(rec.forecasts[system2], rec.outcome)
-        if lp1 == -math.inf and lp2 == -math.inf:
-            where = f"line {rec.line}" if rec.line is not None else f"record {i + 1}"
-            raise ValueError("both forecasts assign zero density to the "
-                             f"outcome ({where}); the ratio is undefined")
-        bits[i] = -(lp1 - lp2) * _INV_LN2
-    mean_bits = float(np.mean(bits))
-    return RelativeIgnorance(bits=mean_bits,
-                             probability_ratio=2.0 ** (-mean_bits))
-
-
-def _log_density(d, y: float) -> float:
-    if hasattr(d, "log_pdf"):
-        return float(d.log_pdf(y))
-    p = float(d.pdf(y))
-    return math.log(p) if p > 0.0 else -math.inf
+    return _relative(_SystemColumns(records, system1),
+                     _SystemColumns(records, system2))
 
 
 @dataclass(frozen=True)
@@ -324,23 +435,26 @@ def evaluate_archive(records: Sequence[ForecastRecord],
     """Score every system under every spec and compare all system pairs.
 
     ``systems`` defaults to the first record's, sorted.  Relative
-    ignorance is reported for each unordered pair in that order.
+    ignorance is reported for each unordered pair in that order.  Each
+    system is stacked once, and its log densities serve both its
+    ignorance score and its relative-ignorance pairs.
     """
     if not records:
         raise ValueError("archive is empty")
     if systems is None:
         systems = sorted(records[0].forecasts)
     systems = tuple(systems)
-    scores = {
-        name: {
-            spec.label(): empirical_score(spec, records, name, seed=seed,
-                                          n=n, density_floor=density_floor)
+    columns = {}
+    scores = {}
+    for name in systems:
+        columns[name] = _SystemColumns(records, name)
+        scores[name] = {
+            spec.label(): columns[name].score(spec, seed=seed, n=n,
+                                              density_floor=density_floor)
             for spec in specs
         }
-        for name in systems
-    }
     relative = tuple(
-        (s1, s2, relative_empirical_ignorance(records, s1, s2))
+        (s1, s2, _relative(columns[s1], columns[s2]))
         for i, s1 in enumerate(systems)
         for s2 in systems[i + 1:]
     )

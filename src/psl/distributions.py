@@ -6,6 +6,14 @@ package: ``pdf``, ``cdf``, ``quantile``, ``median``, ``sample``,
 numpy arrays and are safe to call inside the vectorized quadrature
 engine.
 
+The density and power-integral math of mixtures and histograms lives in
+broadcasting kernels (``mixture_pdf``, ``mixture_log_pdf``,
+``mixture_lp_integral``, ``histogram_pdf``, ``histogram_lp_integral``)
+over parameter arrays of shape (..., K): one row per density, padded
+with zero-weight components or zero-width cells.  The density classes
+call them with a single row; archive scoring calls them with one row
+per record.
+
 Gaussian supports are truncated at 12 standard deviations, where the
 omitted mass (< 1e-32 per component) is far below every tolerance used
 in this package.
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
 from .quadrature import integrate
 
@@ -29,6 +37,8 @@ __all__ = [
     "gaussian", "gaussian_mixture", "uniform",
     "affine_transform", "cubic_transform", "exp_transform",
     "pushforward", "lp_norm_integral",
+    "mixture_pdf", "mixture_log_pdf", "mixture_lp_integral",
+    "histogram_pdf", "histogram_lp_integral",
     "density_from_json", "density_to_json", "transform_from_json",
 ]
 
@@ -56,6 +66,104 @@ def _check_probability(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError("probability level must lie strictly between 0 and 1")
     return p
+
+
+# ---------------------------------------------------------------------------
+# Broadcasting kernels: one row of parameters per density
+# ---------------------------------------------------------------------------
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, shifted by the row maximum.
+
+    A row of -inf entries (no mass anywhere) gives -inf.
+    """
+    top = np.max(a, axis=-1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - shift[..., None]), axis=-1)) + shift
+
+
+def mixture_pdf(x, w, mu, sigma) -> np.ndarray:
+    """Density of Gaussian mixtures at x.
+
+    ``w``, ``mu`` and ``sigma`` have shape (..., K), one mixture per row
+    (padding components carry weight 0); ``x`` broadcasts against the
+    leading shape (...).
+    """
+    z = (np.asarray(x, dtype=float)[..., None] - mu) / sigma
+    dens = np.exp(-0.5 * z * z)
+    coef = w / (sigma * _SQRT2PI)
+    if np.ndim(coef) == 1:
+        # One mixture: a matrix-vector product, the fast reduction for
+        # the long outcome arrays of quadrature.
+        return dens @ coef
+    return np.einsum("...k,...k->...", dens, coef)
+
+
+def mixture_log_pdf(x, w, mu, sigma) -> np.ndarray:
+    """Natural log of ``mixture_pdf``, stable far in the tails."""
+    z = (np.asarray(x, dtype=float)[..., None] - mu) / sigma
+    with np.errstate(divide="ignore"):
+        logw = np.log(w / (sigma * _SQRT2PI))
+    return _logsumexp(-0.5 * z * z + logw)
+
+
+def mixture_lp_integral(w, mu, sigma, alpha: float) -> np.ndarray:
+    """Closed-form integral of pdf**alpha per mixture row; nan where none.
+
+    A row with a single nonzero weight is one Gaussian, whose integral
+    is (2 pi)^((1-alpha)/2) alpha^(-1/2) sigma^(1-alpha) for every
+    alpha.  At alpha = 2 any mixture has the closed form
+    sum_ij w_i w_j N(mu_i - mu_j; 0, sigma_i^2 + sigma_j^2).
+    """
+    w = np.asarray(w, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    single = np.count_nonzero(w, axis=-1) == 1
+    s = np.where(single, np.max(np.where(w > 0.0, sigma, 0.0), axis=-1), 1.0)
+    one = ((2.0 * math.pi) ** ((1.0 - alpha) / 2.0)
+           * alpha ** -0.5 * s ** (1.0 - alpha))
+    if alpha != 2.0:
+        return np.where(single, one, np.nan)
+    v = sigma[..., :, None] ** 2 + sigma[..., None, :] ** 2
+    d = mu[..., :, None] - mu[..., None, :]
+    pair = (w[..., :, None] * w[..., None, :]
+            * np.exp(-0.5 * d * d / v) / np.sqrt(2.0 * math.pi * v))
+    return np.where(single, one, np.sum(pair, axis=(-2, -1)))
+
+
+def _histogram_heights(breaks, masses):
+    """Cell widths and densities; zero-width padding cells get density 0."""
+    widths = np.diff(np.asarray(breaks, dtype=float), axis=-1)
+    masses = np.asarray(masses, dtype=float)
+    heights = np.divide(masses, widths, out=np.zeros(np.broadcast(
+        masses, widths).shape), where=widths > 0.0)
+    return widths, heights
+
+
+def histogram_pdf(x, breaks, masses) -> np.ndarray:
+    """Density of histograms at x.
+
+    ``breaks`` has shape (..., B+1) and ``masses`` (..., B), one table per
+    row; a row with fewer cells repeats its last break and pads with
+    zero mass.  Cells are closed on the left, and the last break belongs
+    to the last cell.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    xa = np.asarray(x, dtype=float)[..., None]
+    widths, heights = _histogram_heights(breaks, masses)
+    last = np.count_nonzero(widths > 0.0, axis=-1)[..., None] - 1
+    cell = np.minimum(np.sum(breaks[..., 1:] <= xa, axis=-1,
+                             keepdims=True), last)
+    inside = (breaks[..., :1] <= xa) & (xa <= breaks[..., -1:])
+    hit = inside & (np.arange(heights.shape[-1]) == cell)
+    return np.sum(np.where(hit, heights, 0.0), axis=-1)
+
+
+def histogram_lp_integral(breaks, masses, alpha: float) -> np.ndarray:
+    """Integral of pdf**alpha per histogram row: sum of height^alpha * width."""
+    widths, heights = _histogram_heights(breaks, masses)
+    return np.sum(heights ** alpha * widths, axis=-1)
 
 
 class _DensityBase:
@@ -177,18 +285,26 @@ class GaussianMixture(_DensityBase):
                           for c in self.components)
         return f"GaussianMixture([{parts}])"
 
+    @property
+    def weights(self) -> np.ndarray:
+        return self._w
+
+    @property
+    def means(self) -> np.ndarray:
+        return self._mu
+
+    @property
+    def stddevs(self) -> np.ndarray:
+        return self._sigma
+
     def pdf(self, x):
-        xa = _as_float_array(x)
-        z = (xa[..., None] - self._mu) / self._sigma
-        dens = np.exp(-0.5 * z * z) @ (self._w / (self._sigma * _SQRT2PI))
+        dens = mixture_pdf(_as_float_array(x), self._w, self._mu, self._sigma)
         return _scalar_or_array(x, dens)
 
     def log_pdf(self, x):
-        xa = _as_float_array(x)
-        z = (xa[..., None] - self._mu) / self._sigma
-        with np.errstate(divide="ignore"):
-            logw = np.log(self._w / (self._sigma * _SQRT2PI))
-        return _scalar_or_array(x, logsumexp(-0.5 * z * z + logw, axis=-1))
+        lp = mixture_log_pdf(_as_float_array(x), self._w, self._mu,
+                             self._sigma)
+        return _scalar_or_array(x, lp)
 
     def cdf(self, x):
         xa = _as_float_array(x)
@@ -273,18 +389,9 @@ class PiecewiseUniform(_DensityBase):
         return (f"PiecewiseUniform(breaks={self.breaks.tolist()}, "
                 f"masses={self.masses.tolist()})")
 
-    def _cell(self, xa: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breaks, xa, side="right") - 1
-        # Treat the final breakpoint as belonging to the last cell.
-        idx = np.where(xa == self.breaks[-1], len(self._heights) - 1, idx)
-        return idx
-
     def pdf(self, x):
-        xa = _as_float_array(x)
-        idx = self._cell(np.atleast_1d(xa))
-        inside = (idx >= 0) & (idx < len(self._heights))
-        vals = np.where(inside, self._heights[np.clip(idx, 0, len(self._heights) - 1)], 0.0)
-        return _scalar_or_array(x, vals.reshape(np.shape(xa)))
+        dens = histogram_pdf(_as_float_array(x), self.breaks, self.masses)
+        return _scalar_or_array(x, dens)
 
     def cdf(self, x):
         xa = _as_float_array(x)
@@ -557,10 +664,15 @@ def lp_norm_integral(d, alpha: float, *, method: str = "auto",
                      abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> float:
     """Integral of pdf**alpha over the support, for alpha > 1.
 
-    ``method="auto"`` uses the closed form where one exists (a single
-    Gaussian component, or a piecewise-uniform table) and adaptive
-    quadrature otherwise.  ``method="quadrature"`` forces the numeric
-    path, which is how the closed forms are cross-validated.
+    ``method="auto"`` uses a closed form where one exists and adaptive
+    quadrature otherwise.  Closed forms exist for a piecewise-uniform
+    table (every alpha), a single Gaussian (every alpha) and a Gaussian
+    mixture at alpha = 2; ``mixture_lp_integral`` and
+    ``histogram_lp_integral`` hold them.  Pushforwards and other powers
+    of multi-component mixtures are integrated.  ``method="quadrature"``
+    forces the numeric path, which is how the closed forms are
+    cross-validated; a divergent integral (the cubic pushforward of a
+    Gaussian for alpha >= 1.5) raises ``QuadratureError``.
     """
     alpha = float(alpha)
     if not alpha > 1.0:
@@ -569,21 +681,22 @@ def lp_norm_integral(d, alpha: float, *, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
 
     if method in ("auto", "analytic"):
-        if isinstance(d, GaussianMixture) and len(d.components) == 1:
-            sigma = d.components[0].stddev
-            return ((2.0 * math.pi) ** ((1.0 - alpha) / 2.0)
-                    * alpha ** -0.5 * sigma ** (1.0 - alpha))
-        if isinstance(d, PiecewiseUniform):
-            widths = np.diff(d.breaks)
-            return float(np.sum(np.where(d.masses > 0.0,
-                                         d._heights ** alpha * widths, 0.0)))
+        value = math.nan
+        if isinstance(d, GaussianMixture):
+            value = float(mixture_lp_integral(d.weights, d.means, d.stddevs,
+                                              alpha))
+        elif isinstance(d, PiecewiseUniform):
+            value = float(histogram_lp_integral(d.breaks, d.masses, alpha))
+        if not math.isnan(value):
+            return value
         if method == "analytic":
             raise ValueError("no closed form for this density; use quadrature")
 
     lo, hi = d.support()
-    result = integrate(lambda x: d.pdf(x) ** alpha, lo, hi,
-                       abs_tol=abs_tol, rel_tol=rel_tol,
-                       seed_points=d.quad_seed_points())
+    with np.errstate(over="ignore"):
+        result = integrate(lambda x: d.pdf(x) ** alpha, lo, hi,
+                           abs_tol=abs_tol, rel_tol=rel_tol,
+                           seed_points=d.quad_seed_points())
     return result.value
 
 

@@ -69,7 +69,10 @@ class QuadratureError(RuntimeError):
     """Raised when the integrator cannot meet the requested tolerance.
 
     Carries the best estimate reached so the caller can inspect how far
-    the refinement got before giving up.
+    the refinement got before giving up.  A non-finite integrand value
+    (the mark of a divergent integral, such as the integral of the
+    squared density of a cubic pushforward) raises it too, with value
+    nan and an infinite error estimate.
     """
 
     def __init__(self, message: str, value: float, error_estimate: float,
@@ -89,8 +92,10 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray):
     if y.shape != (x.size,):
         raise ValueError("integrand must return one value per input point")
     if not np.all(np.isfinite(y)):
-        bad = x.ravel()[~np.isfinite(y)][0]
-        raise ValueError(f"integrand returned a non-finite value at x={bad!r}")
+        bad = float(x.ravel()[~np.isfinite(y)][0])
+        raise QuadratureError(
+            f"integrand returned a non-finite value at x={bad!r}; the "
+            f"integral may diverge", math.nan, math.inf, len(a))
     y = y.reshape(x.shape)
     kronrod = half * (y @ _WGK)
     gauss = half * (y[:, _GAUSS_IDX] @ _WG)
@@ -107,7 +112,7 @@ def integrate(f: Callable, lo: float, hi: float, *,
     ----------
     f : callable
         Vectorized integrand: maps a 1-D float array to an array of the
-        same shape.  Must be finite at every evaluated point.
+        same shape.  A non-finite value raises ``QuadratureError``.
     lo, hi : float
         Finite bounds with ``lo < hi``.
     abs_tol, rel_tol : float

@@ -24,6 +24,13 @@ expectation.  The families:
 ``naive_linear_score``
     -p(y).  Improper; kept as the negative control for propriety
     checks.
+
+The CRPS of Gaussian mixtures and of histograms has closed forms,
+evaluated by the broadcasting kernels ``mixture_crps`` and
+``histogram_crps`` over parameter rows of shape (..., K); ``crps`` calls
+them with one row and archive scoring with one row per record.  The
+pointwise rules are written once over arrays (``ignorance_bits``,
+``power_rule``, ``pseudospherical_rule``) and shared the same way.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import erf
 
-from .distributions import GaussianMixture, lp_norm_integral
+from .distributions import GaussianMixture, PiecewiseUniform, lp_norm_integral
 from .quadrature import integrate
 
 __all__ = [
@@ -42,9 +50,10 @@ __all__ = [
     "ignorance", "crps", "crps_gaussian_exact", "energy_score",
     "power_score", "pseudospherical_score", "naive_linear_score",
     "score", "crps_outcome_derivative",
+    "mixture_crps", "histogram_crps",
+    "ignorance_bits", "power_rule", "pseudospherical_rule",
 ]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRTPI = 1.0 / math.sqrt(math.pi)
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -158,6 +167,19 @@ def _check_outcome(y) -> float:
     return y
 
 
+def ignorance_bits(log_density, density_floor: Optional[float] = None):
+    """-log2 of the density from its natural log; +inf where it is zero.
+
+    ``density_floor`` (off by default) substitutes max(p, floor) for the
+    density first.
+    """
+    if density_floor is not None:
+        if density_floor <= 0.0:
+            raise ValueError("density floor must be positive")
+        log_density = np.maximum(log_density, math.log(float(density_floor)))
+    return -log_density * _INV_LN2 + 0.0
+
+
 def ignorance(d, y, *, density_floor: Optional[float] = None) -> ScoreValue:
     """Ignorance score -log2 p(y), in bits.
 
@@ -167,67 +189,109 @@ def ignorance(d, y, *, density_floor: Optional[float] = None) -> ScoreValue:
     swamp an aggregate; it must be requested explicitly.
     """
     y = _check_outcome(y)
-    lp = float(d.log_pdf(y)) if hasattr(d, "log_pdf") else _safe_log(d.pdf(y))
-    if density_floor is not None:
-        if density_floor <= 0.0:
-            raise ValueError("density floor must be positive")
-        lp = max(lp, math.log(float(density_floor)))
-    if lp == -math.inf:
+    bits = float(ignorance_bits(float(d.log_pdf(y)), density_floor))
+    if bits == math.inf:
         return ScoreValue(math.inf, infinite=True)
-    return ScoreValue(-lp * _INV_LN2 + 0.0)
+    return ScoreValue(bits)
 
 
-def _safe_log(p) -> float:
-    p = float(p)
-    return math.log(p) if p > 0.0 else -math.inf
+def _abs_normal_mean(m, v):
+    """E|X| for X ~ N(m, v), the folded-normal mean; exactly even in m."""
+    m = np.abs(m)
+    r = np.sqrt(2.0 * v)
+    return m * erf(m / r) + r * _INV_SQRTPI * np.exp(-(m / r) ** 2)
+
+
+def mixture_crps(y, w, mu, sigma) -> np.ndarray:
+    """Closed-form CRPS of Gaussian mixtures, E|X - y| - E|X - X'| / 2.
+
+    ``w``, ``mu`` and ``sigma`` have shape (..., K), one mixture per row
+    (padding components carry weight 0), and ``y`` the leading shape.
+    Both expectations reduce to folded-normal means, since differences
+    of independent Gaussian components are Gaussian (Grimit, Gneiting,
+    Berrocal & Johnson, QJRMS 2006).
+    """
+    y = np.asarray(y, dtype=float)[..., None]
+    w, mu = np.asarray(w, dtype=float), np.asarray(mu, dtype=float)
+    var = np.asarray(sigma, dtype=float) ** 2
+    first = np.sum(w * _abs_normal_mean(y - mu, var), axis=-1)
+    pair = (w[..., :, None] * w[..., None, :]
+            * _abs_normal_mean(mu[..., :, None] - mu[..., None, :],
+                               var[..., :, None] + var[..., None, :]))
+    return first - 0.5 * np.sum(pair, axis=(-2, -1))
+
+
+def histogram_crps(y, breaks, masses) -> np.ndarray:
+    """Exact CRPS of histograms, integrated cell by cell.
+
+    ``breaks`` has shape (..., B+1) and ``masses`` (..., B), padded as for
+    ``histogram_pdf``.  The cdf is linear on each cell, so the integral
+    of F^2 left of the outcome and of (1 - F)^2 right of it is
+    width * (F_a^2 + F_a F_b + F_b^2) / 3 per piece; an outcome outside
+    the support adds its distance to the support.
+    """
+    y = np.asarray(y, dtype=float)[..., None]
+    breaks = np.asarray(breaks, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    a, b = breaks[..., :-1], breaks[..., 1:]
+    f_hi = np.cumsum(masses, axis=-1)
+    f_lo = np.concatenate([np.zeros_like(f_hi[..., :1]), f_hi[..., :-1]],
+                          axis=-1)
+    c = np.clip(y, a, b)
+    width = b - a
+    f_c = f_lo + np.divide(masses * (c - a), width,
+                           out=np.zeros(np.broadcast(c, width).shape),
+                           where=width > 0.0)
+    g_c, g_hi = 1.0 - f_c, 1.0 - f_hi
+    cells = ((c - a) * (f_lo * f_lo + f_lo * f_c + f_c * f_c)
+             + (b - c) * (g_c * g_c + g_c * g_hi + g_hi * g_hi)) / 3.0
+    outside = (np.maximum(breaks[..., 0] - y[..., 0], 0.0)
+               + np.maximum(y[..., 0] - breaks[..., -1], 0.0))
+    return np.sum(cells, axis=-1) + outside
 
 
 def crps(d, y, *, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> ScoreValue:
-    """Continuous ranked probability score by adaptive quadrature.
+    """Continuous ranked probability score.
 
-    Integrates (cdf(x) - step(x - y))^2, split at the outcome so no
-    panel straddles the step.  The domain is the forecast's truncated
-    support extended to include the outcome, beyond which the integrand
-    is zero (or exactly 1 between an outlying outcome and the support,
-    which the rule integrates exactly).
+    Gaussian mixtures and histograms use their closed forms
+    (``mixture_crps``, ``histogram_crps``).  Any other density (a
+    pushforward) is integrated by adaptive quadrature: the integrand
+    (cdf(x) - step(x - y))^2 is split at the outcome so no panel
+    straddles the step, over the forecast's truncated support extended
+    to include the outcome, beyond which the integrand is zero.
     """
     y = _check_outcome(y)
+    if isinstance(d, GaussianMixture):
+        return ScoreValue(float(mixture_crps(y, d.weights, d.means,
+                                             d.stddevs)))
+    if isinstance(d, PiecewiseUniform):
+        return ScoreValue(float(histogram_crps(y, d.breaks, d.masses)))
     lo, hi = d.support()
     lo = min(lo, y)
     hi = max(hi, y)
-    seeds = [p for p in d.quad_seed_points()]
+    seeds = d.quad_seed_points()
     total = 0.0
-    err = 0.0
-    subs = 0
     if y > lo:
-        r = integrate(lambda x: np.asarray(d.cdf(x), dtype=float) ** 2,
-                      lo, y, abs_tol=abs_tol / 2, rel_tol=rel_tol,
-                      seed_points=seeds)
-        total += r.value
-        err += r.error_estimate
-        subs += r.subdivisions
+        total += integrate(lambda x: np.asarray(d.cdf(x), dtype=float) ** 2,
+                           lo, y, abs_tol=abs_tol / 2, rel_tol=rel_tol,
+                           seed_points=seeds).value
     if hi > y:
-        r = integrate(lambda x: (np.asarray(d.cdf(x), dtype=float) - 1.0) ** 2,
-                      y, hi, abs_tol=abs_tol / 2, rel_tol=rel_tol,
-                      seed_points=seeds)
-        total += r.value
-        err += r.error_estimate
-        subs += r.subdivisions
+        total += integrate(
+            lambda x: (np.asarray(d.cdf(x), dtype=float) - 1.0) ** 2,
+            y, hi, abs_tol=abs_tol / 2, rel_tol=rel_tol,
+            seed_points=seeds).value
     return ScoreValue(total)
 
 
 def crps_gaussian_exact(mu: float, sigma: float, y: float) -> float:
     """Closed-form CRPS of a single Gaussian forecast.
 
-    sigma * (z*(2*Phi(z)-1) + 2*phi(z) - 1/sqrt(pi)) with z=(y-mu)/sigma.
-    Plumbing used to cross-validate the quadrature path.
+    sigma * (z*(2*Phi(z)-1) + 2*phi(z) - 1/sqrt(pi)) with z=(y-mu)/sigma,
+    which is ``mixture_crps`` with one component.
     """
     if sigma <= 0.0:
         raise ValueError("stddev must be positive")
-    z = (y - mu) / sigma
-    from scipy.special import ndtr
-    pdf = math.exp(-0.5 * z * z) / _SQRT2PI
-    return sigma * (z * (2.0 * float(ndtr(z)) - 1.0) + 2.0 * pdf - _INV_SQRTPI)
+    return float(mixture_crps(y, [1.0], [mu], [sigma]))
 
 
 def energy_score(d, y, beta: float, *, seed: int, n: int = 1_000_000) -> ScoreValue:
@@ -258,6 +322,20 @@ def energy_score(d, y, beta: float, *, seed: int, n: int = 1_000_000) -> ScoreVa
     return ScoreValue(value, stderr=stderr)
 
 
+def power_rule(p, norm, alpha: float):
+    """-alpha p^(alpha-1) + (alpha-1) norm, from the density at the outcome
+    and the integral of p^alpha."""
+    return -alpha * p ** (alpha - 1.0) + (alpha - 1.0) * norm
+
+
+def pseudospherical_rule(p, norm, beta: float):
+    """-(p / norm^(1/beta))^(beta-1), exactly 0 where p is 0."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = -(p ** (beta - 1.0)) / norm ** ((beta - 1.0) / beta)
+    return np.where(p > 0.0, value, 0.0)
+
+
 def power_score(d, y, alpha: float) -> ScoreValue:
     """Power score -alpha p(y)^(alpha-1) + (alpha-1) integral(p^alpha)."""
     y = _check_outcome(y)
@@ -265,8 +343,7 @@ def power_score(d, y, alpha: float) -> ScoreValue:
     if not alpha > 1.0:
         raise ValueError("power score needs alpha > 1")
     p = float(d.pdf(y))
-    norm = lp_norm_integral(d, alpha)
-    return ScoreValue(-alpha * p ** (alpha - 1.0) + (alpha - 1.0) * norm)
+    return ScoreValue(float(power_rule(p, lp_norm_integral(d, alpha), alpha)))
 
 
 def pseudospherical_score(d, y, beta: float) -> ScoreValue:
@@ -286,7 +363,7 @@ def pseudospherical_score(d, y, beta: float) -> ScoreValue:
     if p <= 0.0:
         return ScoreValue(0.0)
     norm = lp_norm_integral(d, beta)
-    return ScoreValue(-(p ** (beta - 1.0)) / norm ** ((beta - 1.0) / beta))
+    return ScoreValue(float(pseudospherical_rule(p, norm, beta)))
 
 
 def naive_linear_score(d, y) -> ScoreValue:

@@ -14,8 +14,15 @@ from psl.archive import (
     load_archive_csv,
     relative_empirical_ignorance,
 )
-from psl.distributions import gaussian, uniform
-from psl.scores import ScoreSpec
+from psl.distributions import (
+    PiecewiseUniform,
+    cubic_transform,
+    gaussian,
+    gaussian_mixture,
+    pushforward,
+    uniform,
+)
+from psl.scores import ScoreSpec, score
 
 import oracles
 
@@ -253,3 +260,94 @@ def test_empirical_ignorance_converges_to_cross_entropy():
                       for y in ys])
     stderr = float(np.std(draws, ddof=1) / math.sqrt(len(ys)))
     assert abs(out.value - mean_ref) < 4.0 * stderr
+
+
+# ---------------------------------------------------------------------------
+# columnar scoring equals per-record scoring
+# ---------------------------------------------------------------------------
+
+MIX1 = gaussian(0.3, 1.1)
+MIX2 = gaussian_mixture([(0.4, -1.0, 0.5), (0.6, 1.2, 0.8)])
+MIX3 = gaussian_mixture([(0.2, -2.0, 0.3), (0.5, 0.0, 1.0), (0.3, 2.5, 0.6)])
+HIST1 = PiecewiseUniform([-2.0, 2.0], [1.0])
+HIST3 = PiecewiseUniform([-1.0, 0.0, 1.0, 2.0], [0.3, 0.0, 0.7])
+HIST5 = PiecewiseUniform([-3.0, -1.0, 0.0, 0.5, 1.0, 3.0],
+                         [0.1, 0.2, 0.3, 0.2, 0.2])
+HIST_WIDE = PiecewiseUniform([-4.0, 0.0, 4.0, 10.0], [0.2, 0.3, 0.5])
+CUBIC = pushforward(gaussian(2.0, 0.1), cubic_transform())
+
+# Every system mixes density types.  Only system "a" has zero density
+# (HIST3 at 0.5 sits in a zero-mass cell, HIST1 at 2.5 is outside its
+# support), which makes its ignorance and its relative bits infinite.
+MIXED = [
+    ({"a": MIX1, "b": HIST1, "c": CUBIC}, 0.2),
+    ({"a": HIST3, "b": MIX2, "c": MIX3}, 0.5),
+    ({"a": MIX3, "b": CUBIC, "c": HIST_WIDE}, 7.9),
+    ({"a": CUBIC, "b": MIX3, "c": HIST_WIDE}, 8.1),
+    ({"a": HIST1, "b": HIST5, "c": MIX2}, 2.5),
+    ({"a": MIX2, "b": HIST5, "c": HIST5}, -0.7),
+    ({"a": HIST5, "b": MIX1, "c": HIST1}, 1.0),
+]
+MIXED_SPECS = [IGN, CRPS, ScoreSpec("power", alpha=2.0),
+               ScoreSpec("power", alpha=3.0),
+               ScoreSpec("pseudospherical", beta=2.0),
+               ScoreSpec("pseudospherical", beta=3.0),
+               ScoreSpec("naive_linear"),
+               ScoreSpec("energy", beta=1.0)]
+
+
+def _per_record_mean(spec, records, system, **kw):
+    streams = np.random.SeedSequence(kw.pop("seed")).spawn(len(records))
+    vals, infinite = [], 0
+    for rec, stream in zip(records, streams):
+        extra = {"seed": stream} if spec.family == "energy" else {}
+        sv = score(spec, rec.forecasts[system], rec.outcome, **kw, **extra)
+        vals.append(sv.value)
+        infinite += sv.infinite
+    return float(np.mean(vals)), infinite
+
+
+@pytest.mark.parametrize("density_floor", [None, 1e-3])
+def test_columnar_archive_matches_per_record_scores(density_floor):
+    records = [ForecastRecord(fc, y, line=k)
+               for k, (fc, y) in enumerate(MIXED, start=1)]
+    report = evaluate_archive(records, MIXED_SPECS, seed=11, n=10_000,
+                              density_floor=density_floor)
+    for system in ("a", "b", "c"):
+        for spec in MIXED_SPECS:
+            mean, infinite = _per_record_mean(
+                spec, records, system, seed=11, n=10_000,
+                density_floor=density_floor)
+            got = report.scores[system][spec.label()]
+            assert got.value == pytest.approx(mean, rel=1e-12)
+            assert got.infinite_count == infinite
+    assert report.scores["a"]["ignorance"].infinite == (density_floor is None)
+    for s1, s2, rel in report.relative:
+        bits = np.mean([-(float(r.forecasts[s1].log_pdf(r.outcome))
+                          - float(r.forecasts[s2].log_pdf(r.outcome)))
+                        / math.log(2.0) for r in records])
+        assert rel.bits == pytest.approx(bits, rel=1e-12)
+        assert rel == relative_empirical_ignorance(records, s1, s2)
+
+
+def test_mixture_and_histogram_archive_needs_no_quadrature(monkeypatch):
+    import psl
+
+    calls = []
+    for name in ("quadrature", "distributions", "scores", "analysis",
+                 "archive"):
+        module = getattr(psl, name)
+        if hasattr(module, "integrate"):
+            real = module.integrate
+
+            def counted(*args, _real=real, **kw):
+                calls.append(args)
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, "integrate", counted)
+    records = [ForecastRecord({"m": m, "h": h}, y)
+               for m, h, y in ((MIX1, HIST1, 0.2), (MIX3, HIST3, 0.5),
+                               (MIX2, HIST5, 3.5), (MIX3, HIST1, -0.4))]
+    report = evaluate_archive(records, [IGN, CRPS,
+                                        ScoreSpec("power", alpha=2.0)])
+    assert report.scores["m"]["crps"].value > 0.0
+    assert calls == []

@@ -82,6 +82,31 @@ def test_expected_crps(capsys):
     assert out.strip() == "0.655744949"
 
 
+# The cubic pushforward of N(0, 1) has density ~ |y|^(-2/3) / 3 at 0, so
+# the integral of its squared density diverges: a numerical failure
+# (exit 3), not a usage error.
+CUBIC_JSON = ('{"type": "gaussian_mixture", '
+              '"components": [{"w": 1, "mu": 0, "sigma": 1}], '
+              '"transform": {"kind": "cubic"}}')
+
+
+def test_score_divergent_integral_is_numerical_failure(capsys):
+    code, out, err = run(["score", "--family", "power", "--alpha", "2",
+                          "--density", CUBIC_JSON, "--outcome", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and "diverge" in err
+
+
+def test_expected_divergent_integral_is_numerical_failure(capsys):
+    code, out, err = run(["expected", "--family", "power", "--alpha", "2",
+                          "--density", CUBIC_JSON, "--truth", STD_JSON],
+                         capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and "diverge" in err
+
+
 def test_energy_needs_a_seed(capsys, monkeypatch):
     monkeypatch.delenv("PSL_DEFAULT_SEED", raising=False)
     code, _, err = run(["score", "--family", "energy", "--beta", "1",
@@ -146,7 +171,10 @@ def test_figure_two_relative_sign(capsys):
     meta, header, rows = _parse_csv(out)
     assert header == ["y", "pdf_a", "pdf_b", "relative"]
     by_y = {float(r[0]): float(r[3]) for r in rows}
-    assert by_y[0.5] < 0.0    # between A's modes, A still preferred
+    # B is A shifted by +1 and A is symmetric about 0, so y = 0.5 is an
+    # exact tie; A is preferred just left of it and B just right.
+    assert by_y[0.5] == pytest.approx(0.0, abs=1e-12)
+    assert by_y[0.3] < 0.0 < by_y[0.7]
     assert by_y[2.0] > 0.0    # at B's far mode, B preferred
 
 
@@ -372,6 +400,20 @@ def test_archive_eval_selected_families(tmp_path, capsys):
     assert fams == {"ignorance", "power(alpha=2)",
                     "pseudospherical(beta=2)"}
     assert payload["relative_ignorance"] == []
+
+
+def test_archive_eval_divergent_integral_is_numerical_failure(tmp_path,
+                                                              capsys):
+    path = tmp_path / "toy.jsonl"
+    path.write_text(json.dumps({
+        "forecasts": {"cubed": json.loads(CUBIC_JSON),
+                      "std": json.loads(STD_JSON)},
+        "outcome": 0.5}) + "\n")
+    code, out, err = run(["archive-eval", "--archive", str(path),
+                          "--families", "ignorance,power"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and "diverge" in err
 
 
 def test_archive_eval_missing_system(tmp_path, capsys):
