@@ -21,21 +21,24 @@ statements about forecast systems:
   fixed forecast, which lands on the forecast median no matter how
   little density sits there.
 
-Expected scores for the quadrature families are evaluated through
-single-integral identities (for instance the CRPS expectation reduces to
-integral((F_p - F_q)^2) + integral(F_q (1 - F_q))); the test suite
+Each family's expected score comes from its entry in ``scores.RULES``.
+The quadrature families reduce it to a single integral over the union
+of both supports: the CRPS expectation to
+integral((F_p - F_q)^2) + integral(F_q (1 - F_q)), the rules that read
+the forecast through p(y) (power, pseudospherical, naive linear) to
+integral(g(p) q) finished with the rule's norm; the test suite
 validates each identity against a directly nested integral of the
-pointwise score.  The energy family has no quadrature path and uses
-paired-stream Monte Carlo throughout, except in ``propriety_check``
-where margins down at 1e-7 demand the deterministic closed form
-(``expected_energy_score_exact``).
+pointwise score.  The Monte-Carlo energy family has no quadrature path
+and uses paired-stream Monte Carlo throughout, except in
+``propriety_check`` where margins down at 1e-7 demand the deterministic
+closed form (``expected_energy_score_exact``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gamma, hyp1f1
@@ -47,11 +50,10 @@ from .distributions import (
     density_to_json,
     gaussian,
     gaussian_mixture,
-    lp_norm_integral,
     pushforward,
 )
 from .quadrature import integrate
-from .scores import ScoreSpec, ScoreValue, score
+from .scores import ScoreSpec, ScoreValue, encode_number, score
 
 __all__ = [
     "SkillCurve", "WitnessReport", "FlipReport",
@@ -70,24 +72,13 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_INV_LN2 = 1.0 / math.log(2.0)
 _LOG_RATIO_TOL = 1e-9
 
 
-def _encode_number(x: float):
-    """JSON-safe float: infinities become labelled strings."""
-    x = float(x)
-    if math.isfinite(x):
-        return x
-    if math.isnan(x):
-        return "nan"
-    return "infinity" if x > 0 else "-infinity"
-
-
 def _score_value_json(v: ScoreValue) -> dict:
-    out = {"value": _encode_number(v.value)}
+    out = {"value": encode_number(v.value)}
     if v.stderr is not None:
-        out["stderr"] = _encode_number(v.stderr)
+        out["stderr"] = encode_number(v.stderr)
     if v.infinite:
         out["infinite"] = True
     return out
@@ -103,10 +94,6 @@ def _envelope(*densities):
     return lo, hi, tuple(sorted(seeds))
 
 
-class _InfiniteIgnorance(Exception):
-    """Signal that the truth puts mass where the forecast has none."""
-
-
 # ---------------------------------------------------------------------------
 # Expected and relative expected scores
 # ---------------------------------------------------------------------------
@@ -117,87 +104,18 @@ def expected_score(spec: ScoreSpec, forecast, truth, *,
                    n: int = 1_000_000) -> ScoreValue:
     """Mean score of ``forecast`` when outcomes are drawn from ``truth``.
 
-    Every family except energy is computed by deterministic quadrature
-    over the union of both supports.  The energy family draws ``n``
-    paired Monte-Carlo samples (two independent streams from the
-    forecast, one from the truth) and reports a standard error; it
-    requires an explicit ``seed``.
+    The family's ``RULES`` entry evaluates it.  Every family except
+    energy is computed by deterministic quadrature over the union of
+    both supports.  The energy family draws ``n`` paired Monte-Carlo
+    samples (two independent streams from the forecast, one from the
+    truth) and reports a standard error; it requires an explicit
+    ``seed``.
     """
-    fam = spec.family
-    if fam == "energy":
-        if seed is None:
-            raise ValueError("expected energy score requires an explicit seed")
-        ss = (seed if isinstance(seed, np.random.SeedSequence)
-              else np.random.SeedSequence(seed))
-        s1, s2, s3 = ss.spawn(3)
-        x = forecast.sample(s1, n)
-        x2 = forecast.sample(s2, n)
-        yv = truth.sample(s3, n)
-        contrib = (np.abs(x - yv) ** spec.beta
-                   - 0.5 * np.abs(x - x2) ** spec.beta)
-        value = float(np.mean(contrib))
-        stderr = float(np.std(contrib, ddof=1) / math.sqrt(n))
-        return ScoreValue(value, stderr=stderr)
-
-    lo, hi, seeds = _envelope(forecast, truth)
-
-    if fam == "ignorance":
-        def f(x):
-            q = np.asarray(truth.pdf(x), dtype=float)
-            out = np.zeros_like(q)
-            m = q > 0.0
-            if np.any(m):
-                lp = np.asarray(forecast.log_pdf(np.asarray(x)[m]),
-                                dtype=float)
-                if np.any(np.isinf(lp)):
-                    raise _InfiniteIgnorance
-                out[m] = -lp * q[m] * _INV_LN2
-            return out
-        try:
-            res = integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
-                            seed_points=seeds)
-        except _InfiniteIgnorance:
-            return ScoreValue(math.inf, infinite=True)
-        return ScoreValue(res.value)
-
-    if fam == "crps":
-        def f(x):
-            fp = np.asarray(forecast.cdf(x), dtype=float)
-            fq = np.asarray(truth.cdf(x), dtype=float)
-            return (fp - fq) ** 2 + fq * (1.0 - fq)
-        res = integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
-                        seed_points=seeds)
-        return ScoreValue(res.value)
-
-    if fam == "power":
-        a = spec.alpha
-        def f(x):
-            return -a * np.asarray(forecast.pdf(x), dtype=float) ** (a - 1.0) \
-                * np.asarray(truth.pdf(x), dtype=float)
-        res = integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
-                        seed_points=seeds)
-        norm = lp_norm_integral(forecast, a)
-        return ScoreValue(res.value + (a - 1.0) * norm)
-
-    if fam == "pseudospherical":
-        b = spec.beta
-        def f(x):
-            return -np.asarray(forecast.pdf(x), dtype=float) ** (b - 1.0) \
-                * np.asarray(truth.pdf(x), dtype=float)
-        res = integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
-                        seed_points=seeds)
-        norm = lp_norm_integral(forecast, b)
-        return ScoreValue(res.value / norm ** ((b - 1.0) / b))
-
-    if fam == "naive_linear":
-        def f(x):
-            return -np.asarray(forecast.pdf(x), dtype=float) \
-                * np.asarray(truth.pdf(x), dtype=float)
-        res = integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
-                        seed_points=seeds)
-        return ScoreValue(res.value)
-
-    raise ValueError(f"unknown score family: {fam!r}")
+    def integral(f):
+        lo, hi, seeds = _envelope(forecast, truth)
+        return integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
+                         seed_points=seeds).value
+    return spec.rule.expected(spec, forecast, truth, integral, seed, n)
 
 
 def relative_expected_score(spec: ScoreSpec, system_a, system_b, truth, *,
@@ -213,15 +131,11 @@ def relative_expected_score(spec: ScoreSpec, system_a, system_b, truth, *,
     quadrature.
     """
     kw = dict(abs_tol=abs_tol, rel_tol=rel_tol, n=n)
-    if spec.family == "energy":
-        if seed is None:
-            raise ValueError("expected energy score requires an explicit seed")
+    sa = sb = None
+    if spec.rule.monte_carlo and seed is not None:
         sa, sb = np.random.SeedSequence(seed).spawn(2)
-        a = expected_score(spec, system_a, truth, seed=sa, **kw)
-        b = expected_score(spec, system_b, truth, seed=sb, **kw)
-    else:
-        a = expected_score(spec, system_a, truth, **kw)
-        b = expected_score(spec, system_b, truth, **kw)
+    a = expected_score(spec, system_a, truth, seed=sa, **kw)
+    b = expected_score(spec, system_b, truth, seed=sb, **kw)
     stderr = None
     if a.stderr is not None or b.stderr is not None:
         stderr = math.hypot(a.stderr or 0.0, b.stderr or 0.0)
@@ -376,8 +290,8 @@ class ProprietyFinding:
         out = {
             "truth": density_to_json(self.truth),
             "candidate": density_to_json(self.candidate),
-            "margin": _encode_number(self.margin),
-            "l1_distance": _encode_number(self.l1),
+            "margin": encode_number(self.margin),
+            "l1_distance": encode_number(self.l1),
             "violation": self.violation,
         }
         if self.reason:
@@ -423,7 +337,7 @@ class ProprietyReport:
             "strict_l1": self.strict_l1,
             "strict_margin": self.strict_margin,
             "pairs": len(self.findings),
-            "min_margin": _encode_number(self.min_margin),
+            "min_margin": encode_number(self.min_margin),
             "passed": self.passed,
             "violations": [f.to_json() for f in self.violations],
         }
@@ -482,16 +396,15 @@ def propriety_check(spec: ScoreSpec, pairs=None, *,
         pairs = [counterexample_pair()] + default_propriety_pairs(seed, n_pairs)
 
     def mean_score(p, q):
-        if spec.family == "energy":
+        if spec.rule.monte_carlo:
             if isinstance(p, GaussianMixture) and isinstance(q, GaussianMixture):
                 return expected_energy_score_exact(p, q, spec.beta)
             if mc_seed is None:
                 raise ValueError(
                     "energy propriety margins need Gaussian mixtures for the "
                     "closed form; pass mc_seed to accept Monte-Carlo noise")
-            return expected_score(spec, p, q, seed=mc_seed, n=n).value
-        return expected_score(spec, p, q, abs_tol=abs_tol,
-                              rel_tol=rel_tol).value
+        return expected_score(spec, p, q, abs_tol=abs_tol, rel_tol=rel_tol,
+                              seed=mc_seed, n=n).value
 
     findings = []
     for truth, candidates in pairs:
@@ -547,7 +460,7 @@ class WitnessReport:
             "p1": density_to_json(self.p1),
             "p2": density_to_json(self.p2),
             "y": self.y,
-            "ratio": _encode_number(self.ratio),
+            "ratio": encode_number(self.ratio),
             "s1": _score_value_json(self.s1),
             "s2": _score_value_json(self.s2),
             "verified": self.verified,
@@ -574,29 +487,6 @@ def verify_witness(spec: ScoreSpec, p1, p2, y: float, *,
     verified = ratio > 1.0 and s1.value > s2.value
     return WitnessReport(spec=spec, p1=p1, p2=p2, y=y, ratio=ratio,
                          s1=s1, s2=s2, verified=verified)
-
-
-def _bisect_log_ratio(f: Callable[[float], float], lo: float, hi: float,
-                      *, tol: float = _LOG_RATIO_TOL,
-                      max_iter: int = 200) -> float:
-    """Root of a monotone log-ratio equation f, to |f| <= tol."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError("log-ratio equation has no sign change on the bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _power_density_bound(alpha: float, sigma1: float) -> float:
@@ -676,7 +566,7 @@ def construct_witness(spec: ScoreSpec, r: float, *,
         hi = 1.0
         while f(hi) > 0.0:
             hi *= 2.0
-        y = _bisect_log_ratio(f, 0.0, hi)
+        y = sign_change_root(f, 0.0, hi, tol=0.0, f_tol=_LOG_RATIO_TOL)
         report = verify_witness(spec, p1, p2, y)
     elif fam == "energy":
         if seed is None:
@@ -687,7 +577,8 @@ def construct_witness(spec: ScoreSpec, r: float, *,
         target = math.log(r * float(p2.pdf(y)))
         def g(s):
             return -math.log(s * _SQRT2PI) - 2.0 / (s * s) - target
-        sigma1 = _bisect_log_ratio(g, 0.15, 1.9)
+        sigma1 = sign_change_root(g, 0.15, 1.9, tol=0.0,
+                                  f_tol=_LOG_RATIO_TOL)
         p1 = gaussian(y - 2.0, sigma1)
         report = verify_witness(spec, p1, p2, y, seed=seed, n=n)
     else:
@@ -764,15 +655,22 @@ class FlipReport:
             "system_b": density_to_json(self.system_b),
             "transform": self.transform.to_json(),
             "y": self.y,
-            "relative_pre": _encode_number(self.relative_pre),
-            "relative_post": _encode_number(self.relative_post),
+            "relative_pre": encode_number(self.relative_pre),
+            "relative_post": encode_number(self.relative_post),
             "window": [self.window[0], self.window[1]],
         }
 
 
 def sign_change_root(f: Callable[[float], float], lo: float, hi: float, *,
-                     tol: float = 1e-6, max_iter: int = 200) -> float:
-    """Bisect a scalar function's sign change on [lo, hi] to width tol."""
+                     tol: float = 1e-6, max_iter: int = 200,
+                     f_tol: float = 0.0) -> float:
+    """Bisect a scalar function's sign change on [lo, hi].
+
+    Stops when the bracket is at most ``tol`` wide or at a midpoint where
+    |f| <= ``f_tol`` (by default, where f is exactly 0), and otherwise
+    after ``max_iter`` halvings.  The witness constructions solve their
+    log-ratio equations with ``tol=0`` and ``f_tol=1e-9``.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -785,7 +683,7 @@ def sign_change_root(f: Callable[[float], float], lo: float, hi: float, *,
             break
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0:
+        if abs(fm) <= f_tol:
             return mid
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
@@ -877,9 +775,8 @@ def crps_argmin_outcome(d, search_range) -> float:
     is the median, however small the density there.  The minimum's bowl
     can be flatter than any quadrature tolerance (depth scales with the
     density near the median), so this bisects the derivative's sign
-    change rather than comparing score values; both edges of any
-    zero-density gap are located and their midpoint returned, matching
-    the ``quantile`` convention.
+    change rather than comparing score values: it is the forecast's
+    plateau-symmetric ``bracketed_quantile(0.5)`` on the search range.
 
     ``search_range`` must bracket the median: cdf below one half on the
     left end and above it on the right.
@@ -887,32 +784,9 @@ def crps_argmin_outcome(d, search_range) -> float:
     lo, hi = (float(search_range[0]), float(search_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("search range must be a finite increasing interval")
-
-    if hasattr(d, "cdf_minus"):
-        def g(t):
-            return d.cdf_minus(t, 0.5)
-    else:
-        def g(t):
-            return float(d.cdf(t)) - 0.5
-
-    if not (g(lo) < 0.0 < g(hi)):
+    if not (d.cdf_minus(lo, 0.5) < 0.0 < d.cdf_minus(hi, 0.5)):
         raise ValueError("search range must bracket the median")
-
-    def edge(a, b, below: bool) -> float:
-        for _ in range(200):
-            if b - a <= 1e-12:
-                break
-            m = 0.5 * (a + b)
-            if m <= a or m >= b:
-                break
-            t = g(m)
-            if (t < 0.0) if below else (t <= 0.0):
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    return 0.5 * (edge(lo, hi, True) + edge(lo, hi, False))
+    return d.bracketed_quantile(0.5, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ histograms into padded (n, B+1) break and (n, B) mass arrays, and each
 stack is scored in one pass of the broadcasting kernels in
 ``distributions`` and ``scores``.  A system's log densities are computed
 once and serve its ignorance score and every relative-ignorance pair
-it is part of.  Records that no kernel covers keep the per-record
-``score`` path: pushforward densities, the energy family (with its
-per-record child streams), and power or pseudospherical exponents
-other than 2 on multi-component mixtures, whose norm needs quadrature.
+it is part of.  Each family's columnar kernel is its entry in
+``scores.RULES``.  Records that no kernel covers keep the per-record
+``score`` path: pushforward densities, the Monte-Carlo energy family
+(with its per-record child streams), and power or pseudospherical
+exponents other than 2 on multi-component mixtures, whose norm needs
+quadrature.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +54,7 @@ from .distributions import (GaussianMixture, PiecewiseUniform,
                             density_from_json, density_to_json, gaussian,
                             histogram_lp_integral, histogram_pdf,
                             mixture_log_pdf, mixture_lp_integral, mixture_pdf)
-from .scores import (ScoreSpec, histogram_crps, ignorance_bits, mixture_crps,
-                     power_rule, pseudospherical_rule, score)
+from .scores import ScoreSpec, histogram_crps, mixture_crps, round9, score
 
 __all__ = [
     "ForecastRecord", "EmpiricalScore", "RelativeIgnorance", "EvalReport",
@@ -228,14 +229,26 @@ def _pad(rows, fill: Optional[float] = None) -> np.ndarray:
 
 
 class _Stack(NamedTuple):
-    """Same-type densities of one system as padded parameter rows."""
+    """Same-type densities of one system as padded parameter rows, with
+    the type's broadcasting pdf, log-pdf, CRPS and power-integral
+    kernels, evaluated at the stack's outcomes ``y``."""
 
     idx: np.ndarray
+    y: np.ndarray
     params: tuple
-    pdf: Callable
-    log_pdf: Callable
-    crps: Callable
-    lp_integral: Callable
+    kernels: tuple
+
+    def pdf(self, rows=slice(None)) -> np.ndarray:
+        return self.kernels[0](self.y[rows], *(a[rows] for a in self.params))
+
+    def log_pdf(self) -> np.ndarray:
+        return self.kernels[1](self.y, *self.params)
+
+    def crps(self) -> np.ndarray:
+        return self.kernels[2](self.y, *self.params)
+
+    def lp_integral(self, k: float) -> np.ndarray:
+        return self.kernels[3](*self.params, k)
 
 
 def _histogram_log_pdf(y, breaks, masses):
@@ -261,20 +274,20 @@ class _SystemColumns:
         if mix:
             ds = [records[i].forecasts[system] for i in mix]
             self.stacks.append(_Stack(
-                np.array(mix),
+                np.array(mix), self.y[mix],
                 (_pad([d.weights for d in ds], 0.0),
                  _pad([d.means for d in ds], 0.0),
                  _pad([d.stddevs for d in ds], 1.0)),
-                mixture_pdf, mixture_log_pdf, mixture_crps,
-                mixture_lp_integral))
+                (mixture_pdf, mixture_log_pdf, mixture_crps,
+                 mixture_lp_integral)))
         if hist:
             ds = [records[i].forecasts[system] for i in hist]
             self.stacks.append(_Stack(
-                np.array(hist),
+                np.array(hist), self.y[hist],
                 (_pad([d.breaks for d in ds]),
                  _pad([d.masses for d in ds], 0.0)),
-                histogram_pdf, _histogram_log_pdf, histogram_crps,
-                histogram_lp_integral))
+                (histogram_pdf, _histogram_log_pdf, histogram_crps,
+                 histogram_lp_integral)))
         self._log_pdf = None
 
     def density(self, i: int):
@@ -285,49 +298,39 @@ class _SystemColumns:
         if self._log_pdf is None:
             out = np.empty(len(self.y))
             for st in self.stacks:
-                out[st.idx] = st.log_pdf(self.y[st.idx], *st.params)
+                out[st.idx] = st.log_pdf()
             for i in self.other:
                 out[i] = float(self.density(i).log_pdf(self.y[i]))
             self._log_pdf = out
         return self._log_pdf
 
+    def stacked(self, kernel) -> np.ndarray:
+        """kernel(stack) for every stack, in record order; nan for the
+        records no stack holds."""
+        out = np.full(len(self.y), np.nan)
+        for st in self.stacks:
+            out[st.idx] = kernel(st)
+        return out
+
     def score(self, spec: ScoreSpec, *, seed: Optional[int], n: int,
               density_floor: Optional[float]) -> EmpiricalScore:
-        fam = spec.family
-        if fam == "ignorance":
-            vals = ignorance_bits(self.log_pdf(), density_floor)
-            return EmpiricalScore(value=float(np.mean(vals)),
-                                  count=len(vals),
-                                  infinite_count=int(np.sum(np.isinf(vals))))
-        vals = np.empty(len(self.y))
-        rest = list(self.other)
+        """Mean score: the family's columnar kernel, then ``score`` one
+        record at a time for the records it leaves as nan."""
+        rule = spec.rule
+        vals = np.full(len(self.y), np.nan)
         streams = None
-        if fam == "energy":
+        if rule.monte_carlo:
             if seed is None:
-                raise ValueError("energy score requires an explicit seed")
+                raise ValueError(f"{spec.family} score requires an explicit "
+                                 "seed")
             streams = np.random.SeedSequence(seed).spawn(len(self.y))
-            rest = range(len(self.y))
-        else:
-            for st in self.stacks:
-                y = self.y[st.idx]
-                if fam == "crps":
-                    vals[st.idx] = st.crps(y, *st.params)
-                elif fam == "naive_linear":
-                    vals[st.idx] = -st.pdf(y, *st.params)
-                else:
-                    k = spec.alpha if fam == "power" else spec.beta
-                    rule = power_rule if fam == "power" else \
-                        pseudospherical_rule
-                    norm = st.lp_integral(*st.params, k)
-                    ok = ~np.isnan(norm)
-                    p = st.pdf(y[ok], *(a[ok] for a in st.params))
-                    vals[st.idx[ok]] = rule(p, norm[ok], k)
-                    rest.extend(st.idx[~ok].tolist())
-        infinite_count = 0
-        for i in sorted(rest):
-            kw = {"seed": streams[i], "n": n} if streams is not None else {}
+        elif rule.columnar is not None:
+            vals = rule.columnar(spec, self, density_floor)
+        infinite_count = int(np.sum(np.isinf(vals)))
+        for i in np.flatnonzero(np.isnan(vals)):
             sv = score(spec, self.density(i), self.y[i],
-                       density_floor=density_floor, **kw)
+                       seed=None if streams is None else streams[i], n=n,
+                       density_floor=density_floor)
             infinite_count += sv.infinite
             vals[i] = sv.value
         return EmpiricalScore(value=float(np.mean(vals)), count=len(vals),
@@ -398,7 +401,7 @@ class EvalReport:
             "systems": {
                 name: {
                     label: {
-                        "mean": _round9(es.value),
+                        "mean": round9(es.value),
                         "infinite_records": es.infinite_count,
                     }
                     for label, es in per_family.items()
@@ -409,22 +412,12 @@ class EvalReport:
                 {
                     "system1": s1,
                     "system2": s2,
-                    "bits": _round9(ri.bits),
-                    "probability_ratio": _round9(ri.probability_ratio),
+                    "bits": round9(ri.bits),
+                    "probability_ratio": round9(ri.probability_ratio),
                 }
                 for s1, s2, ri in self.relative
             ],
         }
-
-
-def _round9(x: float):
-    """Emit at 9 significant digits; infinities become labelled strings."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "infinity" if x > 0 else "-infinity"
-    return float(f"{x:.9g}")
 
 
 def evaluate_archive(records: Sequence[ForecastRecord],

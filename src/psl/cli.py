@@ -27,7 +27,8 @@ from .distributions import (cubic_transform, density_from_json,
                             density_to_json, pushforward,
                             transform_from_json)
 from .quadrature import QuadratureError
-from .scores import FAMILIES, ScoreSpec, score
+from .scores import (FAMILIES, MIN_DRAWS, RULES, ScoreSpec, encode_number,
+                     round9, score)
 
 __all__ = ["main", "build_parser"]
 
@@ -40,19 +41,10 @@ class NumericalFailure(Exception):
     """A computation could not be completed; maps to exit code 3."""
 
 
-def _round9(x: float):
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "infinity" if x > 0 else "-infinity"
-    return float(f"{x:.9g}")
-
-
 def _fmt9(x: float) -> str:
     x = float(x)
     if math.isnan(x) or math.isinf(x):
-        return str(_round9(x))
+        return encode_number(x)
     return f"{x:.9g}"
 
 
@@ -68,11 +60,19 @@ def _resolve_seed(args) -> int | None:
         raise UsageError("PSL_DEFAULT_SEED must be an integer") from None
 
 
-def _require_seed(args) -> int:
+def _mc_seed(args, *specs) -> int | None:
+    """The seed when a spec draws Monte-Carlo samples, which refuse to
+    run without one or on fewer than ``MIN_DRAWS`` draws; None
+    otherwise."""
+    if not any(spec.rule.monte_carlo for spec in specs):
+        return None
     seed = _resolve_seed(args)
     if seed is None:
         raise UsageError("this command draws Monte-Carlo samples: pass "
                          "--seed or set PSL_DEFAULT_SEED")
+    if args.draws < MIN_DRAWS:
+        raise UsageError(f"--draws must be at least {MIN_DRAWS} for "
+                         "Monte-Carlo scores")
     return seed
 
 
@@ -110,7 +110,7 @@ def _emit_table(columns, rows, meta, args, gnuplot_script=None) -> None:
         body = json.dumps({
             "meta": meta,
             "columns": list(columns),
-            "rows": [[_round9(v) for v in row] for row in rows],
+            "rows": [[round9(v) for v in row] for row in rows],
         }, indent=2) + "\n"
     else:
         lines = [f"# {k} = {v}" for k, v in meta.items()]
@@ -240,19 +240,26 @@ def cmd_figure(args) -> int:
     # figure 5: the cubic-transform preference flip
     a, b = analysis.transform_flip_pair()
     spec = ScoreSpec("crps")
-    transform = cubic_transform()
+    cube = cubic_transform()
+    ta, tb = pushforward(a, cube), pushforward(b, cube)
     grid = _figure_grid(args, 10.0, 13.0, 301)
-    ta = pushforward(a, transform)
-    tb = pushforward(b, transform)
-    rows = []
-    for y in grid:
-        y = float(y)
-        pre = (score(spec, a, y).value - score(spec, b, y).value)
-        ystar = float(transform.forward(y))
-        post = (score(spec, ta, ystar).value - score(spec, tb, ystar).value)
-        rows.append((y, pre, post))
-    pre_threshold = _first_crossing(rows, 1)
-    post_threshold = _first_crossing(rows, 2)
+    pre = analysis.relative_score_curve(spec, a, b, grid)
+    post = analysis.relative_score_curve(
+        spec, ta, tb, [float(cube.forward(y)) for y in grid])
+    rows = [(y, rel_pre, rel_post)
+            for (y, rel_pre), (_, rel_post) in zip(pre, post)]
+
+    def pre_at(y):
+        return score(spec, a, y).value - score(spec, b, y).value
+
+    def post_at(y):
+        ystar = float(cube.forward(y))
+        return score(spec, ta, ystar).value - score(spec, tb, ystar).value
+
+    pre_threshold = _first_crossing(grid, [r[1] for r in rows], pre_at,
+                                    "relative_pre")
+    post_threshold = _first_crossing(grid, [r[2] for r in rows], post_at,
+                                     "relative_post")
     meta = {
         "command": "figure 5: CRPS preference flip under the cubic "
                    "transform",
@@ -276,28 +283,15 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _first_crossing(rows, col: int) -> float:
-    """Bisect the first sign change of one tabulated column to 1e-9."""
-    a, b = analysis.transform_flip_pair()
-    spec = ScoreSpec("crps")
-    transform = cubic_transform()
-    ta = pushforward(a, transform)
-    tb = pushforward(b, transform)
-
-    def fresh(y: float) -> float:
-        if col == 1:
-            return score(spec, a, y).value - score(spec, b, y).value
-        ystar = float(transform.forward(y))
-        return (score(spec, ta, ystar).value
-                - score(spec, tb, ystar).value)
-
-    for (y0, *v0), (y1, *v1) in zip(rows, rows[1:]):
-        lo, hi = v0[col - 1], v1[col - 1]
-        if lo == 0.0:
+def _first_crossing(grid, values, relative, column: str) -> float:
+    """The first sign change of a tabulated column, bisected on
+    ``relative`` to 1e-9."""
+    for y0, y1, v0, v1 in zip(grid, grid[1:], values, values[1:]):
+        if v0 == 0.0:
             return y0
-        if (lo > 0.0) != (hi > 0.0):
-            return analysis.sign_change_root(fresh, y0, y1, tol=1e-9)
-    raise NumericalFailure(f"column {col} never changes sign on the grid")
+        if (v0 > 0.0) != (v1 > 0.0):
+            return analysis.sign_change_root(relative, y0, y1, tol=1e-9)
+    raise NumericalFailure(f"{column} never changes sign on the grid")
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +300,15 @@ def _first_crossing(rows, col: int) -> float:
 
 def _emit_scalar(value, args, extra=None) -> None:
     if args.format == "json":
-        obj = {"value": _round9(value.value),
+        obj = {"value": round9(value.value),
                "infinite": value.infinite}
         if value.stderr is not None:
-            obj["stderr"] = _round9(value.stderr)
+            obj["stderr"] = round9(value.stderr)
         if extra:
             obj.update(extra)
         _emit_json(obj, args)
     else:
-        _write_out(json.dumps(_round9(value.value)) + "\n", args)
+        _write_out(json.dumps(round9(value.value)) + "\n", args)
 
 
 def cmd_score(args) -> int:
@@ -322,11 +316,9 @@ def cmd_score(args) -> int:
     d = _density_from_args(args.density, "--density")
     if not math.isfinite(args.outcome):
         raise UsageError("--outcome must be finite")
-    kw = {"density_floor": args.density_floor}
-    if spec.family == "energy":
-        kw.update(seed=_require_seed(args), n=args.draws)
     try:
-        value = score(spec, d, args.outcome, **kw)
+        value = score(spec, d, args.outcome, seed=_mc_seed(args, spec),
+                      n=args.draws, density_floor=args.density_floor)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _emit_scalar(value, args, {"score": spec.to_json(),
@@ -338,10 +330,12 @@ def cmd_expected(args) -> int:
     spec = _spec_from_args(args)
     d = _density_from_args(args.density, "--density")
     truth = _density_from_args(args.truth, "--truth")
-    kw = {}
-    if spec.family == "energy":
-        kw = {"seed": _require_seed(args), "n": args.draws}
-    value = analysis.expected_score(spec, d, truth, **kw)
+    try:
+        value = analysis.expected_score(spec, d, truth,
+                                        seed=_mc_seed(args, spec),
+                                        n=args.draws)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     _emit_scalar(value, args, {"score": spec.to_json()})
     return 0
 
@@ -352,12 +346,12 @@ def cmd_expected(args) -> int:
 
 def cmd_check_proper(args) -> int:
     spec = _spec_from_args(args)
-    kw = {"n_pairs": args.pairs, "seed": args.seed if args.seed is not None
-          else 0, "tol": args.tol}
-    if spec.family == "energy":
-        kw["mc_seed"] = _require_seed(args)
-        kw["n"] = args.draws
-    report = analysis.propriety_check(spec, **kw)
+    if args.pairs < 0:
+        raise UsageError("--pairs must be a non-negative count")
+    report = analysis.propriety_check(
+        spec, n_pairs=args.pairs,
+        seed=args.seed if args.seed is not None else 0, tol=args.tol,
+        mc_seed=_mc_seed(args, spec), n=args.draws)
     if args.format == "csv":
         meta = {"command": f"check-proper {spec.label()}",
                 "pairs": args.pairs, "tol": _fmt9(args.tol),
@@ -386,12 +380,14 @@ def _parse_ratio(text: str) -> float:
 
 def cmd_find_witness(args) -> int:
     spec = _spec_from_args(args)
+    if spec.is_local or not spec.is_strictly_proper:
+        raise UsageError(f"no witness construction for family "
+                         f"{spec.family!r}: witnesses exist for the nonlocal "
+                         "strictly proper rules only")
     ratio = _parse_ratio(args.ratio)
-    kw = {}
-    if spec.family == "energy":
-        kw = {"seed": _require_seed(args), "n": args.draws}
     try:
-        report = analysis.construct_witness(spec, ratio, **kw)
+        report = analysis.construct_witness(
+            spec, ratio, seed=_mc_seed(args, spec), n=args.draws)
     except (ValueError, RuntimeError) as exc:
         raise NumericalFailure(str(exc)) from None
     _emit_json(report.to_json(), args)
@@ -409,14 +405,11 @@ def cmd_flip(args) -> int:
             raise UsageError("--density-a needs a matching --density-b")
     else:
         a, b = analysis.transform_flip_pair()
-    kw = {}
-    if spec.family == "energy":
-        kw = {"seed": _require_seed(args), "n": args.draws}
     try:
         report = analysis.find_preference_flip(
             spec, a, b, transform, (args.y_min_flip, args.y_max_flip),
             grid_points=args.points if args.points is not None else 2001,
-            tol=args.tol, **kw)
+            tol=args.tol, seed=_mc_seed(args, spec), n=args.draws)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if report is None:
@@ -460,12 +453,10 @@ def cmd_archive_eval(args) -> int:
         name = name.strip()
         if not name:
             continue
+        param = RULES[name].param if name in RULES else None
         try:
             specs.append(ScoreSpec(
-                name,
-                alpha=args.alpha if name == "power" else None,
-                beta=args.beta if name in ("energy", "pseudospherical")
-                else None))
+                name, **({param: getattr(args, param)} if param else {})))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if not specs:
@@ -474,12 +465,10 @@ def cmd_archive_eval(args) -> int:
     systems = None
     if args.systems:
         systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    kw = {"density_floor": args.density_floor}
-    if any(s.family == "energy" for s in specs):
-        kw.update(seed=_require_seed(args), n=args.draws)
     try:
-        report = archive.evaluate_archive(records, specs, systems=systems,
-                                          **kw)
+        report = archive.evaluate_archive(
+            records, specs, systems=systems, seed=_mc_seed(args, *specs),
+            n=args.draws, density_floor=args.density_floor)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -2,9 +2,10 @@
 
 All densities share one duck-typed interface used throughout the
 package: ``pdf``, ``cdf``, ``quantile``, ``median``, ``sample``,
-``support`` and ``quad_seed_points``.  ``pdf``/``cdf`` accept scalars or
-numpy arrays and are safe to call inside the vectorized quadrature
-engine.
+``support`` and ``quad_seed_points``, plus ``cdf_minus``, ``log_pdf``
+and ``bracketed_quantile`` from the shared base class.  ``pdf``/``cdf``
+accept scalars or numpy arrays and are safe to call inside the
+vectorized quadrature engine.
 
 The density and power-integral math of mixtures and histograms lives in
 broadcasting kernels (``mixture_pdf``, ``mixture_log_pdf``,
@@ -196,30 +197,31 @@ class _DensityBase:
             out = np.log(self.pdf(x))
         return _scalar_or_array(x, np.asarray(out, dtype=float))
 
-    def _cdf_boundary(self, target: float, lo: float, hi: float,
-                      below: bool) -> float:
-        """Bisect for the boundary of {x : cdf(x) < target} (or <=).
+    def bracketed_quantile(self, p: float, lo: float, hi: float) -> float:
+        """The p-quantile by bisection on a bracket [lo, hi] of it.
 
-        With ``below=True`` the returned point is the upper edge of the
-        strict sublevel set; with ``below=False`` the lower edge of the
-        strict superlevel set.  Averaging the two centres any flat
-        stretch of the cdf (a genuine zero-density gap between modes),
-        which keeps quantiles symmetric instead of drifting to one edge
-        of the gap.
+        Bisects to width 1e-12 for both the upper edge of the strict
+        sublevel set {x : cdf(x) < p} and the lower edge of the strict
+        superlevel set {x : cdf(x) > p}, and returns their midpoint.
+        Averaging the two centres any flat stretch of the cdf (a genuine
+        zero-density gap between modes), which keeps quantiles symmetric
+        instead of drifting to one edge of the gap.
         """
-        a, b = lo, hi
-        for _ in range(200):
-            if b - a <= _BISECT_WIDTH:
-                break
-            m = 0.5 * (a + b)
-            if m <= a or m >= b:
-                break
-            t = self.cdf_minus(m, target)
-            if (t < 0.0) if below else (t <= 0.0):
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
+        def edge(below: bool) -> float:
+            a, b = lo, hi
+            for _ in range(200):
+                if b - a <= _BISECT_WIDTH:
+                    break
+                m = 0.5 * (a + b)
+                if m <= a or m >= b:
+                    break
+                t = self.cdf_minus(m, p)
+                if (t < 0.0) if below else (t <= 0.0):
+                    a = m
+                else:
+                    b = m
+            return 0.5 * (a + b)
+        return 0.5 * (edge(True) + edge(False))
 
     def quantile(self, p: float) -> float:
         """Inverse cdf by bracketed bisection (plateau-symmetric)."""
@@ -236,9 +238,7 @@ class _DensityBase:
             if self.cdf_minus(hi, p) > 0.0:
                 break
             hi += span
-        left = self._cdf_boundary(p, lo, hi, below=True)
-        right = self._cdf_boundary(p, lo, hi, below=False)
-        return 0.5 * (left + right)
+        return self.bracketed_quantile(p, lo, hi)
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -670,17 +670,17 @@ def lp_norm_integral(d, alpha: float, *, method: str = "auto",
     mixture at alpha = 2; ``mixture_lp_integral`` and
     ``histogram_lp_integral`` hold them.  Pushforwards and other powers
     of multi-component mixtures are integrated.  ``method="quadrature"``
-    forces the numeric path, which is how the closed forms are
+    always integrates, which is how the closed forms are
     cross-validated; a divergent integral (the cubic pushforward of a
     Gaussian for alpha >= 1.5) raises ``QuadratureError``.
     """
     alpha = float(alpha)
     if not alpha > 1.0:
         raise ValueError("alpha must exceed 1")
-    if method not in ("auto", "quadrature", "analytic"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
 
-    if method in ("auto", "analytic"):
+    if method == "auto":
         value = math.nan
         if isinstance(d, GaussianMixture):
             value = float(mixture_lp_integral(d.weights, d.means, d.stddevs,
@@ -689,8 +689,6 @@ def lp_norm_integral(d, alpha: float, *, method: str = "auto",
             value = float(histogram_lp_integral(d.breaks, d.masses, alpha))
         if not math.isnan(value):
             return value
-        if method == "analytic":
-            raise ValueError("no closed form for this density; use quadrature")
 
     lo, hi = d.support()
     with np.errstate(over="ignore"):

@@ -25,6 +25,14 @@ expectation.  The families:
     -p(y).  Improper; kept as the negative control for propriety
     checks.
 
+``RULES`` is the single registry of the families: one ``Rule`` per
+family holds its parameter and valid range, its propriety and locality
+flags, whether it draws Monte-Carlo samples (and so needs a seed), and
+how it is evaluated pointwise, in expectation under a truth density,
+and over the records of an archive.  ``ScoreSpec``, ``score``,
+``analysis`` and ``archive`` read the table instead of testing family
+names.
+
 The CRPS of Gaussian mixtures and of histograms has closed forms,
 evaluated by the broadcasting kernels ``mixture_crps`` and
 ``histogram_crps`` over parameter rows of shape (..., K); ``crps`` calls
@@ -36,8 +44,9 @@ pointwise rules are written once over arrays (``ignorance_bits``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import erf
@@ -46,7 +55,7 @@ from .distributions import GaussianMixture, PiecewiseUniform, lp_norm_integral
 from .quadrature import integrate
 
 __all__ = [
-    "FAMILIES", "ScoreSpec", "ScoreValue",
+    "FAMILIES", "MIN_DRAWS", "RULES", "Rule", "ScoreSpec", "ScoreValue",
     "ignorance", "crps", "crps_gaussian_exact", "energy_score",
     "power_score", "pseudospherical_score", "naive_linear_score",
     "score", "crps_outcome_derivative",
@@ -56,21 +65,62 @@ __all__ = [
 
 _INV_SQRTPI = 1.0 / math.sqrt(math.pi)
 _INV_LN2 = 1.0 / math.log(2.0)
+MIN_DRAWS = 10_000  # fewest Monte-Carlo draws an energy estimate accepts
 
-FAMILIES = ("ignorance", "crps", "energy", "power", "pseudospherical",
-            "naive_linear")
 
-# Which structural pieces each family evaluates: "outcome_density" is a
-# function of p(y) alone, "pdf_functional" a functional of the whole
-# density, "joint" an inseparable function of both.
-_STRUCTURE = {
-    "ignorance": ("outcome_density",),
-    "crps": ("pdf_functional", "joint"),
-    "energy": ("pdf_functional", "joint"),
-    "power": ("pdf_functional", "outcome_density"),
-    "pseudospherical": ("joint",),
-    "naive_linear": ("outcome_density",),
-}
+def encode_number(x):
+    """JSON-safe float: non-finite values become labelled strings."""
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "nan"
+    return "infinity" if x > 0 else "-infinity"
+
+
+def round9(x):
+    """``encode_number`` at the 9 significant digits every table prints."""
+    return encode_number(f"{float(x):.9g}")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One score family's entry in ``RULES``.
+
+    ``param`` names the family's parameter ("alpha", "beta" or None),
+    valid on the open interval ``bounds``; a ``monte_carlo`` family draws
+    samples and needs a seed.  The evaluators take the spec first:
+    ``pointwise(spec, d, y, seed, n, density_floor)`` scores one outcome,
+    ``expected(spec, forecast, truth, integral, seed, n)`` is the mean
+    score under ``truth`` (``integral(f)`` integrates over both
+    supports), and ``columnar(spec, columns, density_floor)`` scores one
+    archive system (``archive._SystemColumns``) in one numpy pass, nan
+    for the records no closed form reaches.  They
+    call score functions by module-global name at call time, so
+    rebinding a global reaches every family.
+    """
+
+    pointwise: Callable
+    expected: Callable
+    columnar: Optional[Callable] = None
+    param: Optional[str] = None
+    bounds: tuple = (-math.inf, math.inf)
+    local: bool = False
+    strictly_proper: bool = True
+    monte_carlo: bool = False
+
+
+def _parameter(family: str, value) -> float:
+    """A family's parameter as a float; ValueError unless it is a finite
+    number inside the family's range."""
+    rule = RULES[family]
+    lo, hi = rule.bounds
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and lo < value < hi):
+        return float(value)
+    span = (f"> {lo:g}" if hi == math.inf
+            else f"strictly between {lo:g} and {hi:g}")
+    raise ValueError(f"{family} score needs a finite {rule.param} {span}")
 
 
 @dataclass(frozen=True)
@@ -91,39 +141,32 @@ class ScoreSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown score family {self.family!r}")
-        if self.family == "energy":
-            if self.beta is None or not (0.0 < self.beta < 2.0):
-                raise ValueError("energy score needs beta strictly between 0 and 2")
-        elif self.family == "power":
-            if self.alpha is None or not self.alpha > 1.0:
-                raise ValueError("power score needs alpha > 1")
-        elif self.family == "pseudospherical":
-            if self.beta is None or not self.beta > 1.0:
-                raise ValueError("pseudospherical score needs beta > 1")
-        else:
-            if self.alpha is not None or self.beta is not None:
-                raise ValueError(f"{self.family} score takes no parameters")
+        param = self.rule.param
+        for field in ("alpha", "beta"):
+            if field != param and getattr(self, field) is not None:
+                takes = "no parameters" if param is None \
+                    else f"{param}, not {field}"
+                raise ValueError(f"{self.family} score takes {takes}")
+        if param is not None:
+            _parameter(self.family, getattr(self, param))
+
+    @property
+    def rule(self) -> Rule:
+        return RULES[self.family]
 
     @property
     def is_strictly_proper(self) -> bool:
-        return self.family != "naive_linear"
+        return self.rule.strictly_proper
 
     @property
     def is_local(self) -> bool:
-        return self.family == "ignorance"
-
-    @property
-    def term_structure(self) -> tuple[str, ...]:
-        return _STRUCTURE[self.family]
+        return self.rule.local
 
     def label(self) -> str:
-        if self.family == "energy":
-            return f"energy(beta={self.beta:g})"
-        if self.family == "power":
-            return f"power(alpha={self.alpha:g})"
-        if self.family == "pseudospherical":
-            return f"pseudospherical(beta={self.beta:g})"
-        return self.family
+        param = self.rule.param
+        if param is None:
+            return self.family
+        return f"{self.family}({param}={getattr(self, param):g})"
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family}
@@ -294,32 +337,36 @@ def crps_gaussian_exact(mu: float, sigma: float, y: float) -> float:
     return float(mixture_crps(y, [1.0], [mu], [sigma]))
 
 
-def energy_score(d, y, beta: float, *, seed: int, n: int = 1_000_000) -> ScoreValue:
-    """Monte-Carlo energy score for beta in (0, 2).
+def _energy_estimate(d, beta, seed, n, *, y=None, truth=None) -> ScoreValue:
+    """Paired-stream Monte-Carlo energy score of the forecast ``d``.
 
-    Uses paired independent streams x, x' from the forecast; each draw
-    contributes |x - y|^beta - |x - x'|^beta / 2, whose mean is the
-    score and whose sample variance yields the reported stderr.  The
-    seed is mandatory: there is no implicit entropy anywhere in the
-    package.
+    Independent streams x, x' from the forecast contribute
+    |x - y|^beta - |x - x'|^beta / 2 per draw; the mean is the score and
+    the sample variance gives the stderr.  The outcome is ``y``, or a
+    third stream drawn from ``truth`` for the expected score.  The seed
+    is mandatory: there is no implicit entropy anywhere in the package.
     """
-    y = _check_outcome(y)
-    beta = float(beta)
-    if not (0.0 < beta < 2.0):
-        raise ValueError("energy score needs beta strictly between 0 and 2")
-    if n < 10_000:
-        raise ValueError("energy score needs at least 10000 draws")
+    if n < MIN_DRAWS:
+        raise ValueError(f"energy score needs at least {MIN_DRAWS} draws")
     if seed is None:
         raise ValueError("energy score requires an explicit seed")
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    s1, s2 = ss.spawn(2)
-    x = d.sample(s1, n)
-    xp = d.sample(s2, n)
+    streams = ss.spawn(2 if truth is None else 3)
+    x = d.sample(streams[0], n)
+    xp = d.sample(streams[1], n)
+    if truth is not None:
+        y = truth.sample(streams[2], n)
     contrib = np.abs(x - y) ** beta - 0.5 * np.abs(x - xp) ** beta
     value = float(np.mean(contrib))
     stderr = float(np.std(contrib, ddof=1) / math.sqrt(n))
     return ScoreValue(value, stderr=stderr)
+
+
+def energy_score(d, y, beta: float, *, seed: int, n: int = 1_000_000) -> ScoreValue:
+    """Monte-Carlo energy score for beta in (0, 2); see ``_energy_estimate``."""
+    y = _check_outcome(y)
+    return _energy_estimate(d, _parameter("energy", beta), seed, n, y=y)
 
 
 def power_rule(p, norm, alpha: float):
@@ -339,9 +386,7 @@ def pseudospherical_rule(p, norm, beta: float):
 def power_score(d, y, alpha: float) -> ScoreValue:
     """Power score -alpha p(y)^(alpha-1) + (alpha-1) integral(p^alpha)."""
     y = _check_outcome(y)
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValueError("power score needs alpha > 1")
+    alpha = _parameter("power", alpha)
     p = float(d.pdf(y))
     return ScoreValue(float(power_rule(p, lp_norm_integral(d, alpha), alpha)))
 
@@ -356,9 +401,7 @@ def pseudospherical_score(d, y, beta: float) -> ScoreValue:
     density, exactly 0 at a zero-density outcome.
     """
     y = _check_outcome(y)
-    beta = float(beta)
-    if not beta > 1.0:
-        raise ValueError("pseudospherical score needs beta > 1")
+    beta = _parameter("pseudospherical", beta)
     p = float(d.pdf(y))
     if p <= 0.0:
         return ScoreValue(0.0)
@@ -375,26 +418,12 @@ def naive_linear_score(d, y) -> ScoreValue:
 def score(spec: ScoreSpec, d, y, *, seed: Optional[int] = None,
           n: int = 1_000_000,
           density_floor: Optional[float] = None) -> ScoreValue:
-    """Evaluate any score family from its spec.
+    """Evaluate any score family from its spec, through its ``RULES`` entry.
 
     ``seed``/``n`` apply to the Monte-Carlo energy family only;
     ``density_floor`` to ignorance only.
     """
-    if spec.family == "ignorance":
-        return ignorance(d, y, density_floor=density_floor)
-    if spec.family == "crps":
-        return crps(d, y)
-    if spec.family == "energy":
-        if seed is None:
-            raise ValueError("energy score requires an explicit seed")
-        return energy_score(d, y, spec.beta, seed=seed, n=n)
-    if spec.family == "power":
-        return power_score(d, y, spec.alpha)
-    if spec.family == "pseudospherical":
-        return pseudospherical_score(d, y, spec.beta)
-    if spec.family == "naive_linear":
-        return naive_linear_score(d, y)
-    raise ValueError(f"unknown score family {spec.family!r}")
+    return spec.rule.pointwise(spec, d, y, seed, n, density_floor)
 
 
 def crps_outcome_derivative(d, y) -> float:
@@ -406,3 +435,111 @@ def crps_outcome_derivative(d, y) -> float:
     """
     y = _check_outcome(y)
     return 2.0 * float(d.cdf(y)) - 1.0
+
+
+# ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+
+class _InfiniteIgnorance(Exception):
+    """Signal that the truth puts mass where the forecast has none."""
+
+
+def _expected_ignorance(spec, forecast, truth, integral, seed, n):
+    def f(x):
+        q = np.asarray(truth.pdf(x), dtype=float)
+        out = np.zeros_like(q)
+        m = q > 0.0
+        if np.any(m):
+            lp = np.asarray(forecast.log_pdf(np.asarray(x)[m]), dtype=float)
+            if np.any(np.isinf(lp)):
+                raise _InfiniteIgnorance
+            out[m] = -lp * q[m] * _INV_LN2
+        return out
+    try:
+        return ScoreValue(integral(f))
+    except _InfiniteIgnorance:
+        return ScoreValue(math.inf, infinite=True)
+
+
+def _expected_crps(spec, forecast, truth, integral, seed, n):
+    """integral((F_p - F_q)^2) + integral(F_q (1 - F_q))."""
+    def f(x):
+        fp = np.asarray(forecast.cdf(x), dtype=float)
+        fq = np.asarray(truth.cdf(x), dtype=float)
+        return (fp - fq) ** 2 + fq * (1.0 - fq)
+    return ScoreValue(integral(f))
+
+
+def _expected_density_rule(term: Callable, finish: Callable) -> Callable:
+    """Expected score of a rule that reads the forecast through p(y):
+    the integral of term(spec, p) q, completed by
+    finish(spec, forecast, integral) with the rule's norm part."""
+    def expected(spec, forecast, truth, integral, seed, n):
+        value = integral(
+            lambda x: term(spec, np.asarray(forecast.pdf(x), dtype=float))
+            * np.asarray(truth.pdf(x), dtype=float))
+        return ScoreValue(finish(spec, forecast, value))
+    return expected
+
+
+def _columnar_norm_rule(rule: Callable, columns, k: float) -> np.ndarray:
+    """rule(p(y), integral(p^k), k) over an archive system; nan for the
+    records whose integral has no closed form."""
+    def kernel(stack):
+        norm = stack.lp_integral(k)
+        ok = ~np.isnan(norm)
+        out = np.full(len(norm), np.nan)
+        out[ok] = rule(stack.pdf(ok), norm[ok], k)
+        return out
+    return columns.stacked(kernel)
+
+
+RULES = {
+    "ignorance": Rule(
+        pointwise=lambda s, d, y, seed, n, floor: ignorance(
+            d, y, density_floor=floor),
+        expected=_expected_ignorance,
+        columnar=lambda s, columns, floor: ignorance_bits(columns.log_pdf(),
+                                                          floor),
+        local=True),
+    "crps": Rule(
+        pointwise=lambda s, d, y, seed, n, floor: crps(d, y),
+        expected=_expected_crps,
+        columnar=lambda s, columns, floor: columns.stacked(
+            lambda stack: stack.crps())),
+    "energy": Rule(
+        pointwise=lambda s, d, y, seed, n, floor: energy_score(
+            d, y, s.beta, seed=seed, n=n),
+        expected=lambda s, forecast, truth, integral, seed, n:
+            _energy_estimate(forecast, s.beta, seed, n, truth=truth),
+        param="beta", bounds=(0.0, 2.0), monte_carlo=True),
+    "power": Rule(
+        pointwise=lambda s, d, y, seed, n, floor: power_score(d, y, s.alpha),
+        expected=_expected_density_rule(
+            lambda s, p: -s.alpha * p ** (s.alpha - 1.0),
+            lambda s, d, value: value + (s.alpha - 1.0) * lp_norm_integral(
+                d, s.alpha)),
+        columnar=lambda s, columns, floor: _columnar_norm_rule(
+            power_rule, columns, s.alpha),
+        param="alpha", bounds=(1.0, math.inf)),
+    "pseudospherical": Rule(
+        pointwise=lambda s, d, y, seed, n, floor: pseudospherical_score(
+            d, y, s.beta),
+        expected=_expected_density_rule(
+            lambda s, p: -p ** (s.beta - 1.0),
+            lambda s, d, value: value / lp_norm_integral(d, s.beta) ** (
+                (s.beta - 1.0) / s.beta)),
+        columnar=lambda s, columns, floor: _columnar_norm_rule(
+            pseudospherical_rule, columns, s.beta),
+        param="beta", bounds=(1.0, math.inf)),
+    "naive_linear": Rule(
+        pointwise=lambda s, d, y, seed, n, floor: naive_linear_score(d, y),
+        expected=_expected_density_rule(lambda s, p: -p,
+                                        lambda s, d, value: value),
+        columnar=lambda s, columns, floor: columns.stacked(
+            lambda stack: -stack.pdf()),
+        strictly_proper=False),
+}
+
+FAMILIES = tuple(RULES)

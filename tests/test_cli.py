@@ -115,6 +115,25 @@ def test_energy_needs_a_seed(capsys, monkeypatch):
     assert "pass --seed or set PSL_DEFAULT_SEED" in err
 
 
+def test_score_rejects_infinite_parameter(capsys):
+    code, out, err = run(["score", "--family", "power", "--alpha", "inf",
+                          "--density", STD_JSON, "--outcome", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite alpha" in err
+
+
+@pytest.mark.parametrize("draws", ["0", "1"])
+def test_expected_energy_rejects_too_few_draws(capsys, draws):
+    code, out, err = run(["expected", "--family", "energy", "--beta", "1",
+                          "--seed", "0", "--draws", draws,
+                          "--density", STD_JSON, "--truth", STD_JSON],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "at least 10000" in err
+
+
 def test_energy_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("PSL_DEFAULT_SEED", "12345")
     code, out, _ = run(["score", "--family", "energy", "--beta", "1",
@@ -268,6 +287,23 @@ def test_check_proper_csv(capsys):
     assert header == ["pair", "margin", "l1_distance", "violation"]
     assert len(rows) == 2 * (3 + 1)
     assert all(r[3] == "0" for r in rows)
+
+
+def test_check_proper_rejects_negative_pairs(capsys):
+    code, out, err = run(["check-proper", "--family", "crps",
+                          "--pairs", "-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--pairs" in err
+
+
+@pytest.mark.parametrize("family", ["ignorance", "naive_linear"])
+def test_find_witness_without_construction_is_usage_error(capsys, family):
+    code, out, err = run(["find-witness", "--family", family,
+                          "--ratio", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "no witness construction" in err
 
 
 def test_find_witness_pseudospherical(capsys):

@@ -43,6 +43,10 @@ def test_family_registry():
     ("pseudospherical", {"beta": 1.0}),
     ("crps", {"alpha": 2.0}),           # parameter-free family
     ("nonsense", {}),
+    ("power", {"alpha": math.inf}),     # parameters must be finite
+    ("pseudospherical", {"beta": math.inf}),
+    ("power", {"alpha": 2.0, "beta": 3.0}),  # beta is not power's
+    ("power", {"alpha": "2"}),          # a number, not a string
 ])
 def test_spec_validation(family, kw):
     with pytest.raises(ValueError):
