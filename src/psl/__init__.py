@@ -38,6 +38,7 @@ from .scores import (
     crps_gaussian_exact,
     crps_outcome_derivative,
     energy_score,
+    gaussian_abs_moment,
     ignorance,
     naive_linear_score,
     power_score,
@@ -55,7 +56,6 @@ from .analysis import (
     expected_energy_score_exact,
     expected_score,
     find_preference_flip,
-    gaussian_abs_moment,
     inverse_width_pair,
     inverse_width_skill_curve,
     l1_distance,

@@ -22,16 +22,16 @@ statements about forecast systems:
   little density sits there.
 
 Each family's expected score comes from its entry in ``scores.RULES``.
-The quadrature families reduce it to a single integral over the union
-of both supports: the CRPS expectation to
-integral((F_p - F_q)^2) + integral(F_q (1 - F_q)), the rules that read
-the forecast through p(y) (power, pseudospherical, naive linear) to
-integral(g(p) q) finished with the rule's norm; the test suite
-validates each identity against a directly nested integral of the
-pointwise score.  The Monte-Carlo energy family has no quadrature path
-and uses paired-stream Monte Carlo throughout, except in
-``propriety_check`` where margins down at 1e-7 demand the deterministic
-closed form (``expected_energy_score_exact``).
+The CRPS of one Gaussian mixture under another is the closed-form pair
+sum ``scores.mixture_energy``; the other quadrature cases reduce to a
+single integral over the union of both supports: the CRPS expectation
+to integral((F_p - F_q)^2) + integral(F_q (1 - F_q)), the rules that
+read the forecast through p(y) to integral(g(p) q) finished with the
+rule's norm; the test suite validates each identity against a directly
+nested integral of the pointwise score.  The energy family uses
+paired-stream Monte Carlo, except in ``propriety_check``, whose margins
+down at 1e-7 all come from the closed form for mixtures
+(``expected_energy_score_exact``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma, hyp1f1
 
 from .distributions import (
     GaussianMixture,
@@ -53,7 +52,8 @@ from .distributions import (
     pushforward,
 )
 from .quadrature import integrate
-from .scores import ScoreSpec, ScoreValue, encode_number, score
+from .scores import (ScoreSpec, ScoreValue, _parameter, encode_number,
+                     gaussian_abs_moment, mixture_energy, score)
 
 __all__ = [
     "SkillCurve", "WitnessReport", "FlipReport",
@@ -73,6 +73,9 @@ __all__ = [
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LOG_RATIO_TOL = 1e-9
+_L1_TOL = 1e-8  # absolute and relative quadrature tolerance of l1_distance
+STRICT_L1 = 0.05  # see ProprietyReport
+STRICT_MARGIN = 1e-4
 
 
 def _score_value_json(v: ScoreValue) -> dict:
@@ -99,27 +102,24 @@ def _envelope(*densities):
 # ---------------------------------------------------------------------------
 
 def expected_score(spec: ScoreSpec, forecast, truth, *,
-                   abs_tol: float = 1e-10, rel_tol: float = 1e-9,
                    seed: Optional[int] = None,
                    n: int = 1_000_000) -> ScoreValue:
     """Mean score of ``forecast`` when outcomes are drawn from ``truth``.
 
-    The family's ``RULES`` entry evaluates it.  Every family except
-    energy is computed by deterministic quadrature over the union of
-    both supports.  The energy family draws ``n`` paired Monte-Carlo
-    samples (two independent streams from the forecast, one from the
-    truth) and reports a standard error; it requires an explicit
-    ``seed``.
+    The family's ``RULES`` entry evaluates it: in closed form for the
+    CRPS of two Gaussian mixtures, else by deterministic quadrature over
+    the union of both supports, except that the energy family draws
+    ``n`` paired Monte-Carlo samples (two independent streams from the
+    forecast, one from the truth) and reports a standard error; it
+    requires an explicit ``seed``.
     """
     def integral(f):
         lo, hi, seeds = _envelope(forecast, truth)
-        return integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
-                         seed_points=seeds).value
+        return integrate(f, lo, hi, seed_points=seeds).value
     return spec.rule.expected(spec, forecast, truth, integral, seed, n)
 
 
 def relative_expected_score(spec: ScoreSpec, system_a, system_b, truth, *,
-                            abs_tol: float = 1e-10, rel_tol: float = 1e-9,
                             seed: Optional[int] = None,
                             n: int = 1_000_000) -> ScoreValue:
     """expected_score(A) - expected_score(B); negative favours A.
@@ -130,12 +130,11 @@ def relative_expected_score(spec: ScoreSpec, system_a, system_b, truth, *,
     streams derived from ``seed`` and the standard errors combine in
     quadrature.
     """
-    kw = dict(abs_tol=abs_tol, rel_tol=rel_tol, n=n)
     sa = sb = None
     if spec.rule.monte_carlo and seed is not None:
         sa, sb = np.random.SeedSequence(seed).spawn(2)
-    a = expected_score(spec, system_a, truth, seed=sa, **kw)
-    b = expected_score(spec, system_b, truth, seed=sb, **kw)
+    a = expected_score(spec, system_a, truth, seed=sa, n=n)
+    b = expected_score(spec, system_b, truth, seed=sb, n=n)
     stderr = None
     if a.stderr is not None or b.stderr is not None:
         stderr = math.hypot(a.stderr or 0.0, b.stderr or 0.0)
@@ -187,9 +186,7 @@ def inverse_width_pair(sigma: float):
     return gaussian(0.0, sigma), gaussian(0.0, 1.0 / sigma)
 
 
-def inverse_width_skill_curve(sigma_grid: Sequence[float], *,
-                              abs_tol: float = 1e-10,
-                              rel_tol: float = 1e-9) -> SkillCurve:
+def inverse_width_skill_curve(sigma_grid: Sequence[float]) -> SkillCurve:
     """Relative expected IGN/CRPS/PLS/SPS for the reciprocal-width pair.
 
     System A forecasts N(0, sigma^2), system B forecasts N(0, 1/sigma^2),
@@ -213,9 +210,7 @@ def inverse_width_skill_curve(sigma_grid: Sequence[float], *,
     for s in grid:
         a, b = inverse_width_pair(s)
         for name, sp in specs.items():
-            rel = relative_expected_score(sp, a, b, truth,
-                                          abs_tol=abs_tol, rel_tol=rel_tol)
-            cols[name].append(rel.value)
+            cols[name].append(relative_expected_score(sp, a, b, truth).value)
     cols["ign_over_20"] = [v / 20.0 for v in cols["ign"]]
     return SkillCurve(sigma=tuple(grid),
                       columns={k: tuple(v) for k, v in cols.items()})
@@ -225,24 +220,14 @@ def inverse_width_skill_curve(sigma_grid: Sequence[float], *,
 # Propriety falsification
 # ---------------------------------------------------------------------------
 
-def l1_distance(p, q, *, abs_tol: float = 1e-8, rel_tol: float = 1e-8) -> float:
+def l1_distance(p, q) -> float:
     """Integral of |p - q| over the union of both supports."""
     lo, hi, seeds = _envelope(p, q)
     def f(x):
         return np.abs(np.asarray(p.pdf(x), dtype=float)
                       - np.asarray(q.pdf(x), dtype=float))
-    return integrate(f, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
+    return integrate(f, lo, hi, abs_tol=_L1_TOL, rel_tol=_L1_TOL,
                      seed_points=seeds).value
-
-
-def gaussian_abs_moment(mean: float, variance: float, beta: float) -> float:
-    """E|X|^beta for X ~ N(mean, variance), via the confluent
-    hypergeometric representation."""
-    if variance <= 0.0:
-        raise ValueError("variance must be positive")
-    m2 = mean * mean / (2.0 * variance)
-    return ((2.0 * variance) ** (0.5 * beta) * gamma(0.5 * (1.0 + beta))
-            / math.sqrt(math.pi) * float(hyp1f1(-0.5 * beta, 0.5, -m2)))
 
 
 def expected_energy_score_exact(forecast: GaussianMixture,
@@ -252,27 +237,18 @@ def expected_energy_score_exact(forecast: GaussianMixture,
 
     Both the cross term E|x - y|^beta (x from the forecast, y from the
     truth) and the self term reduce to absolute moments of Gaussians,
-    because differences of independent mixture draws are again mixtures.
-    Used where Monte-Carlo noise would swamp the quantity of interest
-    (propriety margins); the Monte-Carlo path in ``expected_score`` is
-    cross-checked against this in the test suite.
+    because differences of independent mixture draws are again mixtures
+    (``scores.mixture_energy``).  Used where Monte-Carlo noise would
+    swamp the quantity of interest (propriety margins); the Monte-Carlo
+    path in ``expected_score`` is cross-checked against this in the
+    test suite.
     """
     if not isinstance(forecast, GaussianMixture) or not isinstance(truth, GaussianMixture):
         raise TypeError("closed-form expected energy score needs Gaussian mixtures")
-    beta = float(beta)
-    if not 0.0 < beta < 2.0:
-        raise ValueError("energy score needs beta in (0, 2)")
-
-    def pair_sum(da, db):
-        total = 0.0
-        for ca in da.components:
-            for cb in db.components:
-                total += ca.weight * cb.weight * gaussian_abs_moment(
-                    ca.mean - cb.mean,
-                    ca.stddev ** 2 + cb.stddev ** 2, beta)
-        return total
-
-    return pair_sum(forecast, truth) - 0.5 * pair_sum(forecast, forecast)
+    return float(mixture_energy(
+        forecast.weights, forecast.means, forecast.stddevs,
+        truth.weights, truth.means, truth.stddevs,
+        _parameter("energy", beta)))
 
 
 @dataclass(frozen=True)
@@ -306,9 +282,9 @@ class ProprietyReport:
     ``passed`` means no sampled pair violated the inequality; it is
     evidence, not proof.  A violation is either an outright negative
     margin (below ``-tol``) or a margin that stays below
-    ``strict_margin`` although the candidate is at least ``strict_l1``
+    ``strict_margin`` although the candidate is more than ``strict_l1``
     away from the truth in L1, which a strictly proper rule should
-    separate decisively.
+    separate decisively (``STRICT_MARGIN``, ``STRICT_L1``).
     """
 
     spec: ScoreSpec
@@ -374,11 +350,7 @@ def counterexample_pair():
 
 def propriety_check(spec: ScoreSpec, pairs=None, *,
                     n_pairs: int = 50, seed: int = 0,
-                    tol: float = 1e-7,
-                    strict_l1: float = 0.05, strict_margin: float = 1e-4,
-                    abs_tol: float = 1e-10, rel_tol: float = 1e-9,
-                    mc_seed: Optional[int] = None,
-                    n: int = 1_000_000) -> ProprietyReport:
+                    tol: float = 1e-7) -> ProprietyReport:
     """Check E_q[S(p)] >= E_q[S(q)] over (truth, candidates) pairs.
 
     ``pairs`` is an iterable of (truth, candidate sequence); when
@@ -386,25 +358,23 @@ def propriety_check(spec: ScoreSpec, pairs=None, *,
     pairs (from ``default_propriety_pairs(seed)``) are used.  The truth
     itself is always evaluated as a candidate, so the equality case is
     exercised on every pair.  Violations are findings, not errors: the
-    report carries them and ``passed`` reflects their absence.
-
-    Energy-family margins are computed with the closed form for Gaussian
-    mixtures; pass ``mc_seed`` to fall back to Monte Carlo for other
-    density types (at Monte-Carlo noise, not ``tol``, resolution).
+    report carries them and ``passed`` reflects their absence.  ``tol``
+    must be a finite number >= 0.  Energy margins come from the closed
+    form ``expected_energy_score_exact``, so energy pairs must be
+    Gaussian mixtures; nothing is drawn at random.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be a finite number >= 0")
     if pairs is None:
         pairs = [counterexample_pair()] + default_propriety_pairs(seed, n_pairs)
 
     def mean_score(p, q):
-        if spec.rule.monte_carlo:
-            if isinstance(p, GaussianMixture) and isinstance(q, GaussianMixture):
-                return expected_energy_score_exact(p, q, spec.beta)
-            if mc_seed is None:
-                raise ValueError(
-                    "energy propriety margins need Gaussian mixtures for the "
-                    "closed form; pass mc_seed to accept Monte-Carlo noise")
-        return expected_score(spec, p, q, abs_tol=abs_tol, rel_tol=rel_tol,
-                              seed=mc_seed, n=n).value
+        if not spec.rule.monte_carlo:
+            return expected_score(spec, p, q).value
+        if isinstance(p, GaussianMixture) and isinstance(q, GaussianMixture):
+            return expected_energy_score_exact(p, q, spec.beta)
+        raise ValueError("energy propriety margins need the closed form, "
+                         "which takes Gaussian mixtures only")
 
     findings = []
     for truth, candidates in pairs:
@@ -421,14 +391,14 @@ def propriety_check(spec: ScoreSpec, pairs=None, *,
             reason = None
             if margin < -tol:
                 reason = "margin below -tol: the rule preferred a wrong forecast"
-            elif dist > strict_l1 and margin < strict_margin:
+            elif dist > STRICT_L1 and margin < STRICT_MARGIN:
                 reason = ("margin below the strict threshold for a candidate "
                           "far from the truth")
             findings.append(ProprietyFinding(
                 truth=truth, candidate=cand, margin=margin, l1=dist,
                 violation=reason is not None, reason=reason))
-    return ProprietyReport(spec=spec, tol=tol, strict_l1=strict_l1,
-                           strict_margin=strict_margin,
+    return ProprietyReport(spec=spec, tol=tol, strict_l1=STRICT_L1,
+                           strict_margin=STRICT_MARGIN,
                            findings=tuple(findings))
 
 
@@ -545,6 +515,9 @@ def construct_witness(spec: ScoreSpec, r: float, *,
         alpha = spec.alpha
         sigma1 = 1.0
         p_target = 0.5 * _power_density_bound(alpha, sigma1)
+        if p_target == 0.0:
+            raise ValueError(f"no power witness for alpha={alpha!r}: the "
+                             "recipe's density bound underflows to 0")
         y = math.sqrt(-2.0 * math.log(p_target * _SQRT2PI * sigma1))
         p1 = gaussian(0.0, sigma1)
         p2 = gaussian(y * (1.0 - r), r * sigma1)
@@ -556,6 +529,9 @@ def construct_witness(spec: ScoreSpec, r: float, *,
         # classic sigma2 > r^beta sigma1 condition is only sufficient for
         # beta >= 2, so take whichever exponent is larger plus headroom.
         exponent = max(beta, beta / (beta - 1.0))
+        if exponent * math.log(r) > 700.0:
+            raise ValueError(f"ratio {r:g} is infeasible for {spec.label()}: "
+                             f"the width 1.25 r^{exponent:g} exceeds e^700")
         sigma2 = 1.25 * r ** exponent * sigma1
         p1 = gaussian(0.0, sigma1)
         p2 = gaussian(0.0, sigma2)
@@ -704,11 +680,16 @@ def find_preference_flip(spec: ScoreSpec, system_a, system_b,
     outcomes where either is non-finite), then bisects the boundaries of
     the first interval with pre * post < 0 down to ``tol``.  Returns
     None when no flip exists in the range, which for an invariant rule
-    such as ignorance is the expected result.
+    such as ignorance is the expected result.  It needs at least 2 grid
+    points and a finite ``tol`` >= 0.
     """
     lo, hi = (float(y_range[0]), float(y_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("y range must be a finite increasing interval")
+    if grid_points < 2:
+        raise ValueError("the flip scan needs at least 2 grid points")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be a finite number >= 0")
     ta = pushforward(system_a, transform)
     tb = pushforward(system_b, transform)
 

@@ -5,8 +5,9 @@ run the propriety and implausibility checks, locate preference flips,
 and evaluate forecast archives.  All output is CSV or JSON on stdout or
 a file; figures can additionally emit a gnuplot script.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 when
-a check finds a violation (a finding, not a crash).
+Exit codes: 0 success, 2 validation error (a ``UsageError`` or any
+``ValueError`` a command raises), 3 numerical failure, 4 when a check
+finds a violation (a finding, not a crash).
 
 The environment variable ``PSL_DEFAULT_SEED`` supplies the seed when
 ``--seed`` is absent; Monte-Carlo paths refuse to run without one.
@@ -77,11 +78,8 @@ def _mc_seed(args, *specs) -> int | None:
 
 
 def _spec_from_args(args) -> ScoreSpec:
-    try:
-        return ScoreSpec(args.family, alpha=getattr(args, "alpha", None),
-                         beta=getattr(args, "beta", None))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return ScoreSpec(args.family, alpha=getattr(args, "alpha", None),
+                     beta=getattr(args, "beta", None))
 
 
 def _density_from_args(text: str, what: str):
@@ -316,11 +314,8 @@ def cmd_score(args) -> int:
     d = _density_from_args(args.density, "--density")
     if not math.isfinite(args.outcome):
         raise UsageError("--outcome must be finite")
-    try:
-        value = score(spec, d, args.outcome, seed=_mc_seed(args, spec),
-                      n=args.draws, density_floor=args.density_floor)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    value = score(spec, d, args.outcome, seed=_mc_seed(args, spec),
+                  n=args.draws, density_floor=args.density_floor)
     _emit_scalar(value, args, {"score": spec.to_json(),
                                "outcome": args.outcome})
     return 0
@@ -330,12 +325,8 @@ def cmd_expected(args) -> int:
     spec = _spec_from_args(args)
     d = _density_from_args(args.density, "--density")
     truth = _density_from_args(args.truth, "--truth")
-    try:
-        value = analysis.expected_score(spec, d, truth,
-                                        seed=_mc_seed(args, spec),
-                                        n=args.draws)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    value = analysis.expected_score(spec, d, truth, seed=_mc_seed(args, spec),
+                                    n=args.draws)
     _emit_scalar(value, args, {"score": spec.to_json()})
     return 0
 
@@ -350,8 +341,7 @@ def cmd_check_proper(args) -> int:
         raise UsageError("--pairs must be a non-negative count")
     report = analysis.propriety_check(
         spec, n_pairs=args.pairs,
-        seed=args.seed if args.seed is not None else 0, tol=args.tol,
-        mc_seed=_mc_seed(args, spec), n=args.draws)
+        seed=args.seed if args.seed is not None else 0, tol=args.tol)
     if args.format == "csv":
         meta = {"command": f"check-proper {spec.label()}",
                 "pairs": args.pairs, "tol": _fmt9(args.tol),
@@ -405,13 +395,10 @@ def cmd_flip(args) -> int:
             raise UsageError("--density-a needs a matching --density-b")
     else:
         a, b = analysis.transform_flip_pair()
-    try:
-        report = analysis.find_preference_flip(
-            spec, a, b, transform, (args.y_min_flip, args.y_max_flip),
-            grid_points=args.points if args.points is not None else 2001,
-            tol=args.tol, seed=_mc_seed(args, spec), n=args.draws)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = analysis.find_preference_flip(
+        spec, a, b, transform, (args.y_min_flip, args.y_max_flip),
+        grid_points=args.points if args.points is not None else 2001,
+        tol=args.tol, seed=_mc_seed(args, spec), n=args.draws)
     if report is None:
         _emit_json({"flip": None,
                     "score": spec.to_json(),
@@ -431,11 +418,7 @@ def _transform_from_args(args):
         except ValueError:
             raise UsageError("--transform-params must be comma-separated "
                              "numbers") from None
-    try:
-        return transform_from_json({"kind": args.transform,
-                                    "params": params})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return transform_from_json({"kind": args.transform, "params": params})
 
 
 def cmd_archive_eval(args) -> int:
@@ -445,8 +428,6 @@ def cmd_archive_eval(args) -> int:
         records = loader(args.archive)
     except OSError as exc:
         raise UsageError(f"cannot read archive: {exc}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
     specs = []
     for name in args.families.split(","):
@@ -454,23 +435,17 @@ def cmd_archive_eval(args) -> int:
         if not name:
             continue
         param = RULES[name].param if name in RULES else None
-        try:
-            specs.append(ScoreSpec(
-                name, **({param: getattr(args, param)} if param else {})))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        specs.append(ScoreSpec(
+            name, **({param: getattr(args, param)} if param else {})))
     if not specs:
         raise UsageError("--families names no score families")
 
     systems = None
     if args.systems:
         systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    try:
-        report = archive.evaluate_archive(
-            records, specs, systems=systems, seed=_mc_seed(args, *specs),
-            n=args.draws, density_floor=args.density_floor)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = archive.evaluate_archive(
+        records, specs, systems=systems, seed=_mc_seed(args, *specs),
+        n=args.draws, density_floor=args.density_floor)
 
     if args.format == "csv":
         meta = {"command": "archive-eval", "records": report.count,
@@ -618,7 +593,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, NumericalFailure) as exc:

@@ -13,7 +13,7 @@ broadcasting kernels (``mixture_pdf``, ``mixture_log_pdf``,
 over parameter arrays of shape (..., K): one row per density, padded
 with zero-weight components or zero-width cells.  The density classes
 call them with a single row; archive scoring calls them with one row
-per record.
+per record; ``component_pairs`` pairs the components of two mixtures.
 
 Gaussian supports are truncated at 12 standard deviations, where the
 omitted mass (< 1e-32 per component) is far below every tolerance used
@@ -39,7 +39,7 @@ __all__ = [
     "affine_transform", "cubic_transform", "exp_transform",
     "pushforward", "lp_norm_integral",
     "mixture_pdf", "mixture_log_pdf", "mixture_lp_integral",
-    "histogram_pdf", "histogram_lp_integral",
+    "component_pairs", "histogram_pdf", "histogram_lp_integral",
     "density_from_json", "density_to_json", "transform_from_json",
 ]
 
@@ -47,6 +47,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SUPPORT_SIGMAS = 12.0
 _WEIGHT_TOL = 1e-12
 _BISECT_WIDTH = 1e-12
+_NORM_ABS_TOL = 1e-12  # quadrature tolerances of lp_norm_integral
+_NORM_REL_TOL = 1e-10
 
 
 def _as_float_array(x, name: str = "x") -> np.ndarray:
@@ -126,11 +128,17 @@ def mixture_lp_integral(w, mu, sigma, alpha: float) -> np.ndarray:
            * alpha ** -0.5 * s ** (1.0 - alpha))
     if alpha != 2.0:
         return np.where(single, one, np.nan)
-    v = sigma[..., :, None] ** 2 + sigma[..., None, :] ** 2
-    d = mu[..., :, None] - mu[..., None, :]
-    pair = (w[..., :, None] * w[..., None, :]
-            * np.exp(-0.5 * d * d / v) / np.sqrt(2.0 * math.pi * v))
+    ww, d, v = component_pairs(w, mu, sigma, w, mu, sigma)
+    pair = ww * np.exp(-0.5 * d * d / v) / np.sqrt(2.0 * math.pi * v)
     return np.where(single, one, np.sum(pair, axis=(-2, -1)))
+
+
+def component_pairs(w, mu, sigma, w_b, mu_b, sigma_b):
+    """w_i w_j, mu_i - mu_j and sigma_i^2 + sigma_j^2 over the component
+    pairs of mixture rows (..., K) and (..., J), as (..., K, J) arrays."""
+    return (w[..., :, None] * w_b[..., None, :],
+            mu[..., :, None] - mu_b[..., None, :],
+            sigma[..., :, None] ** 2 + sigma_b[..., None, :] ** 2)
 
 
 def _histogram_heights(breaks, masses):
@@ -660,8 +668,7 @@ def _check_sample_size(n) -> int:
     return int(n)
 
 
-def lp_norm_integral(d, alpha: float, *, method: str = "auto",
-                     abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> float:
+def lp_norm_integral(d, alpha: float, *, method: str = "auto") -> float:
     """Integral of pdf**alpha over the support, for alpha > 1.
 
     ``method="auto"`` uses a closed form where one exists and adaptive
@@ -693,7 +700,7 @@ def lp_norm_integral(d, alpha: float, *, method: str = "auto",
     lo, hi = d.support()
     with np.errstate(over="ignore"):
         result = integrate(lambda x: d.pdf(x) ** alpha, lo, hi,
-                           abs_tol=abs_tol, rel_tol=rel_tol,
+                           abs_tol=_NORM_ABS_TOL, rel_tol=_NORM_REL_TOL,
                            seed_points=d.quad_seed_points())
     return result.value
 

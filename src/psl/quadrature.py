@@ -168,8 +168,7 @@ def integrate(f: Callable, lo: float, hi: float, *,
         errs = np.concatenate([errs[keep], le, re])
 
 
-def expectation(d, f: Callable, *, abs_tol: float = 1e-10,
-                rel_tol: float = 1e-9) -> float:
+def expectation(d, f: Callable) -> float:
     """Expectation of a vectorized function under a density.
 
     Integrates ``f(x) * d.pdf(x)`` over the density's truncated support,
@@ -178,6 +177,5 @@ def expectation(d, f: Callable, *, abs_tol: float = 1e-10,
     """
     lo, hi = d.support()
     result = integrate(lambda x: np.asarray(f(x), dtype=float) * d.pdf(x),
-                       lo, hi, abs_tol=abs_tol, rel_tol=rel_tol,
-                       seed_points=d.quad_seed_points())
+                       lo, hi, seed_points=d.quad_seed_points())
     return result.value

@@ -36,9 +36,11 @@ names.
 The CRPS of Gaussian mixtures and of histograms has closed forms,
 evaluated by the broadcasting kernels ``mixture_crps`` and
 ``histogram_crps`` over parameter rows of shape (..., K); ``crps`` calls
-them with one row and archive scoring with one row per record.  The
-pointwise rules are written once over arrays (``ignorance_bits``,
-``power_rule``, ``pseudospherical_rule``) and shared the same way.
+them with one row and archive scoring with one row per record.  Mixture
+CRPS, pointwise and expected, and the exact expected energy score are
+one pair sum of Gaussian absolute moments, ``mixture_energy``.  The
+pointwise rules (``ignorance_bits``, ``power_rule``,
+``pseudospherical_rule``) are written once over arrays and shared.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, gamma, hyp1f1
 
-from .distributions import GaussianMixture, PiecewiseUniform, lp_norm_integral
+from .distributions import (GaussianMixture, PiecewiseUniform,
+                            component_pairs, lp_norm_integral)
 from .quadrature import integrate
 
 __all__ = [
@@ -59,13 +62,18 @@ __all__ = [
     "ignorance", "crps", "crps_gaussian_exact", "energy_score",
     "power_score", "pseudospherical_score", "naive_linear_score",
     "score", "crps_outcome_derivative",
-    "mixture_crps", "histogram_crps",
+    "gaussian_abs_moment", "mixture_energy", "mixture_crps",
+    "histogram_crps",
     "ignorance_bits", "power_rule", "pseudospherical_rule",
 ]
 
 _INV_SQRTPI = 1.0 / math.sqrt(math.pi)
 _INV_LN2 = 1.0 / math.log(2.0)
 MIN_DRAWS = 10_000  # fewest Monte-Carlo draws an energy estimate accepts
+_CRPS_SIDE_TOL = 5e-11  # absolute tolerance of each side of the outcome
+# Past |m| / sqrt(2 v) = 1e16, E|N(m, v)|^beta is |m|^beta in float64: the
+# next term of its asymptotic series is beta (beta - 1) v / (2 m^2).
+_MOMENT_TAIL = 1e16
 
 
 def encode_number(x):
@@ -214,11 +222,11 @@ def ignorance_bits(log_density, density_floor: Optional[float] = None):
     """-log2 of the density from its natural log; +inf where it is zero.
 
     ``density_floor`` (off by default) substitutes max(p, floor) for the
-    density first.
+    density first; it must be a finite positive number.
     """
     if density_floor is not None:
-        if density_floor <= 0.0:
-            raise ValueError("density floor must be positive")
+        if not (math.isfinite(density_floor) and density_floor > 0.0):
+            raise ValueError("density floor must be positive and finite")
         log_density = np.maximum(log_density, math.log(float(density_floor)))
     return -log_density * _INV_LN2 + 0.0
 
@@ -238,11 +246,41 @@ def ignorance(d, y, *, density_floor: Optional[float] = None) -> ScoreValue:
     return ScoreValue(bits)
 
 
-def _abs_normal_mean(m, v):
-    """E|X| for X ~ N(m, v), the folded-normal mean; exactly even in m."""
+def gaussian_abs_moment(m, v, beta: float):
+    """E|X|^beta for X ~ N(m, v), v > 0, broadcasting over ``m`` and ``v``.
+
+    With z = |m| / sqrt(2 v): the folded-normal mean at beta = 1, else
+    (2 v)^(beta/2) Gamma((1 + beta)/2) / sqrt(pi) 1F1(-beta/2; 1/2; -z^2),
+    and |m|^beta past z = 1e16, so z^2 never overflows.
+    """
     m = np.abs(m)
+    v = np.asarray(v, dtype=float)
+    if np.count_nonzero(v <= 0.0):
+        raise ValueError("variance must be positive")
     r = np.sqrt(2.0 * v)
-    return m * erf(m / r) + r * _INV_SQRTPI * np.exp(-(m / r) ** 2)
+    z = m / r
+    z2 = np.minimum(z, _MOMENT_TAIL) ** 2
+    if beta == 1.0:
+        return m * erf(z) + r * _INV_SQRTPI * np.exp(-z2)
+    body = ((2.0 * v) ** (0.5 * beta) * gamma(0.5 * (1.0 + beta))
+            / math.sqrt(math.pi) * hyp1f1(-0.5 * beta, 0.5, -z2))
+    return np.where(z > _MOMENT_TAIL, m ** beta, body)[()]
+
+
+def _pair_moment(w, mu, sigma, w_b, mu_b, sigma_b, beta):
+    """sum_ij w_i w_j E|N(mu_i - mu_j, sigma_i^2 + sigma_j^2)|^beta."""
+    ww, d, v = component_pairs(w, mu, sigma, w_b, mu_b, sigma_b)
+    return (ww * gaussian_abs_moment(d, v, beta)).sum(axis=(-2, -1))
+
+
+def mixture_energy(w, mu, sigma, w_y, mu_y, sigma_y, beta: float):
+    """E|X - Y|^beta - E|X - X'|^beta / 2, X and X' from mixture rows of
+    shape (..., K), Y from rows (..., J): the expected energy score, at
+    beta = 1 the expected CRPS (Gneiting & Raftery, JASA 2007, section 4);
+    a point-mass Y (weight 1, sd 0) gives the pointwise score."""
+    x = [np.asarray(a, dtype=float) for a in (w, mu, sigma)]
+    y = [np.asarray(a, dtype=float) for a in (w_y, mu_y, sigma_y)]
+    return _pair_moment(*x, *y, beta) - 0.5 * _pair_moment(*x, *x, beta)
 
 
 def mixture_crps(y, w, mu, sigma) -> np.ndarray:
@@ -250,18 +288,11 @@ def mixture_crps(y, w, mu, sigma) -> np.ndarray:
 
     ``w``, ``mu`` and ``sigma`` have shape (..., K), one mixture per row
     (padding components carry weight 0), and ``y`` the leading shape.
-    Both expectations reduce to folded-normal means, since differences
-    of independent Gaussian components are Gaussian (Grimit, Gneiting,
-    Berrocal & Johnson, QJRMS 2006).
+    It is ``mixture_energy`` at beta = 1 with Y a point mass at ``y``
+    (Grimit, Gneiting, Berrocal & Johnson, QJRMS 2006).
     """
     y = np.asarray(y, dtype=float)[..., None]
-    w, mu = np.asarray(w, dtype=float), np.asarray(mu, dtype=float)
-    var = np.asarray(sigma, dtype=float) ** 2
-    first = np.sum(w * _abs_normal_mean(y - mu, var), axis=-1)
-    pair = (w[..., :, None] * w[..., None, :]
-            * _abs_normal_mean(mu[..., :, None] - mu[..., None, :],
-                               var[..., :, None] + var[..., None, :]))
-    return first - 0.5 * np.sum(pair, axis=(-2, -1))
+    return mixture_energy(w, mu, sigma, [1.0], y, [0.0], 1.0)
 
 
 def histogram_crps(y, breaks, masses) -> np.ndarray:
@@ -293,7 +324,7 @@ def histogram_crps(y, breaks, masses) -> np.ndarray:
     return np.sum(cells, axis=-1) + outside
 
 
-def crps(d, y, *, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> ScoreValue:
+def crps(d, y) -> ScoreValue:
     """Continuous ranked probability score.
 
     Gaussian mixtures and histograms use their closed forms
@@ -316,13 +347,12 @@ def crps(d, y, *, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> ScoreValue:
     total = 0.0
     if y > lo:
         total += integrate(lambda x: np.asarray(d.cdf(x), dtype=float) ** 2,
-                           lo, y, abs_tol=abs_tol / 2, rel_tol=rel_tol,
+                           lo, y, abs_tol=_CRPS_SIDE_TOL,
                            seed_points=seeds).value
     if hi > y:
         total += integrate(
             lambda x: (np.asarray(d.cdf(x), dtype=float) - 1.0) ** 2,
-            y, hi, abs_tol=abs_tol / 2, rel_tol=rel_tol,
-            seed_points=seeds).value
+            y, hi, abs_tol=_CRPS_SIDE_TOL, seed_points=seeds).value
     return ScoreValue(total)
 
 
@@ -463,7 +493,13 @@ def _expected_ignorance(spec, forecast, truth, integral, seed, n):
 
 
 def _expected_crps(spec, forecast, truth, integral, seed, n):
-    """integral((F_p - F_q)^2) + integral(F_q (1 - F_q))."""
+    """``mixture_energy`` at beta = 1 for two Gaussian mixtures; otherwise
+    integral((F_p - F_q)^2) + integral(F_q (1 - F_q))."""
+    if (isinstance(forecast, GaussianMixture)
+            and isinstance(truth, GaussianMixture)):
+        return ScoreValue(float(mixture_energy(
+            forecast.weights, forecast.means, forecast.stddevs,
+            truth.weights, truth.means, truth.stddevs, 1.0)))
     def f(x):
         fp = np.asarray(forecast.cdf(x), dtype=float)
         fq = np.asarray(truth.cdf(x), dtype=float)

@@ -185,6 +185,32 @@ def test_propriety_check_energy_uses_closed_form():
     assert report.passed
 
 
+def test_propriety_check_energy_needs_mixtures():
+    with pytest.raises(ValueError, match="closed form"):
+        propriety_check(ScoreSpec("energy", beta=1.0),
+                        pairs=[(STD, [uniform(-1.0, 1.0)])])
+
+
+def test_expected_crps_of_mixtures_needs_no_quadrature(monkeypatch):
+    import psl
+
+    calls = []
+    for name in ("quadrature", "distributions", "scores", "analysis"):
+        module = getattr(psl, name)
+        if hasattr(module, "integrate"):
+            real = module.integrate
+
+            def counted(*args, _real=real, **kw):
+                calls.append(args)
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, "integrate", counted)
+    f = gaussian_mixture([(0.4, -1.0, 0.6), (0.6, 1.5, 1.1)])
+    assert expected_score(CRPS, f, STD).value > 0.0
+    assert relative_expected_score(CRPS, f, STD, f).value < 0.0
+    assert expected_energy_score_exact(f, STD, 0.5) > 0.0
+    assert calls == []
+
+
 def test_l1_distance():
     assert l1_distance(STD, STD) == pytest.approx(0.0, abs=1e-9)
     assert l1_distance(uniform(0, 1), uniform(5, 6)) == pytest.approx(

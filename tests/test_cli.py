@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +134,31 @@ def test_expected_energy_rejects_too_few_draws(capsys, draws):
     assert code == 2
     assert out == ""
     assert "at least 10000" in err
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+def test_score_rejects_bad_density_floor(capsys, floor):
+    # a nan floor printed "nan" and an infinite one "-infinity", exit 0
+    code, out, err = run(["score", "--family", "ignorance",
+                          "--density", STD_JSON, "--outcome", "0",
+                          f"--density-floor={floor}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "density floor must be positive and finite" in err
+
+
+def test_score_far_tail_is_finite_and_silent():
+    # the pair kernel squared |y - mu| / sqrt(2 v) and warned of overflow
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "psl", "score", "--family", "crps",
+         "--density", STD_JSON, "--outcome", "1e200"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == "1e+200\n"
+    assert proc.stderr == ""
 
 
 def test_energy_env_seed(capsys, monkeypatch):
@@ -297,6 +324,57 @@ def test_check_proper_rejects_negative_pairs(capsys):
     assert "--pairs" in err
 
 
+@pytest.mark.parametrize("env,extra", [
+    (None, []),
+    ("0", ["--draws", "5"]),
+])
+def test_check_proper_energy_draws_nothing(capsys, monkeypatch, env, extra):
+    # the closed form draws no samples, so neither a seed nor --draws
+    # matters; --seed only chooses the pairs (0 by default)
+    monkeypatch.setenv("PSL_DEFAULT_SEED", "7")
+    code, seeded, _ = run(["check-proper", "--family", "energy", "--beta",
+                           "1", "--pairs", "2", "--seed", "0", "--format",
+                           "csv"], capsys)
+    assert code == 0
+    if env is None:
+        monkeypatch.delenv("PSL_DEFAULT_SEED")
+    else:
+        monkeypatch.setenv("PSL_DEFAULT_SEED", env)
+    code, out, err = run(["check-proper", "--family", "energy", "--beta",
+                          "1", "--pairs", "2", "--format", "csv", *extra],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert out == seeded
+    assert len(_parse_csv(out)[2]) == 2 * (2 + 1)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_check_proper_rejects_bad_tol(capsys, tol):
+    # a nan tol passed every pair; -1 made the truth itself a violation
+    code, out, err = run(["check-proper", "--family", "crps", "--pairs",
+                          "1", "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tol must be a finite number >= 0" in err
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--family", "pseudospherical", "--beta", "1.0000001", "--ratio", "2"],
+     "ratio 2 is infeasible"),
+    (["--family", "pseudospherical", "--beta", "2", "--ratio", "1e300"],
+     "ratio 1e+300 is infeasible"),
+    (["--family", "power", "--alpha", "1.0000001", "--ratio", "2"],
+     "alpha=1"),
+])
+def test_find_witness_infeasible_parameter_is_numerical_failure(
+        capsys, argv, fragment):
+    # an OverflowError traceback (exit 1), or a bare "math domain error"
+    code, out, err = run(["find-witness", *argv], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and fragment in err
+
+
 @pytest.mark.parametrize("family", ["ignorance", "naive_linear"])
 def test_find_witness_without_construction_is_usage_error(capsys, family):
     code, out, err = run(["find-witness", "--family", family,
@@ -368,6 +446,21 @@ def test_flip_custom_densities_affine(capsys):
         "--y-min", "-2", "--y-max", "2", "--points", "101"], capsys)
     assert code == 0
     assert json.loads(out)["flip"] is None
+
+
+@pytest.mark.parametrize("extra,fragment", [
+    (["--points", "0"], "at least 2 grid points"),
+    (["--points", "1"], "at least 2 grid points"),
+    (["--tol", "nan"], "tol must be a finite number >= 0"),
+    (["--tol", "-1"], "tol must be a finite number >= 0"),
+])
+def test_flip_rejects_bad_grid_and_tol(capsys, extra, fragment):
+    # with at most one point scanned it reported "no preference flip"
+    code, out, err = run(["flip", "--family", "crps", "--transform", "cubic",
+                          *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
 
 
 def test_flip_density_a_without_b(capsys):

@@ -1,12 +1,15 @@
 """Property tests of the broadcasting mixture and histogram kernels.
 
 Each kernel is checked against an independent reference: the
-folded-normal oracle for mixture CRPS, and the package's own quadrature
-path, reached through the identity pushforward ``affine_transform(1, 0)``
-(a pushforward has no closed form, so it is always integrated).
+folded-normal oracle for mixture CRPS, direct integration of Gaussian
+absolute moments for the expected energy score, and the package's own
+quadrature path, reached through the identity pushforward
+``affine_transform(1, 0)`` (a pushforward has no closed form, so it is
+always integrated).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +28,9 @@ from psl.distributions import (
     mixture_pdf,
     pushforward,
 )
-from psl.scores import crps, histogram_crps, mixture_crps
+from psl.analysis import expected_energy_score_exact, expected_score
+from psl.scores import (ScoreSpec, crps, gaussian_abs_moment, histogram_crps,
+                        mixture_crps)
 
 import oracles
 
@@ -34,8 +39,8 @@ TOL = dict(rel=1e-9, abs=1e-9)
 
 
 @st.composite
-def mixtures(draw):
-    k = draw(st.integers(1, 4))
+def mixtures(draw, max_k=4):
+    k = draw(st.integers(1, max_k))
     raw = [draw(st.floats(0.05, 1.0)) for _ in range(k)]
     total = math.fsum(raw)
     return [(r / total, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.05, 3.0)))
@@ -156,3 +161,46 @@ def test_padded_histogram_rows_match_single_rows(rows, ys):
     for i, (b, m) in enumerate(rows):
         assert norms[i] == pytest.approx(
             lp_norm_integral(PiecewiseUniform(b, m), 2.5), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=mixtures(3), q=mixtures(3))
+def test_expected_crps_closed_form_matches_quadrature(p, q):
+    # the closed form is the pair kernel; the identity pushforward of the
+    # forecast takes the CDF cross-product quadrature instead
+    forecast, truth = gaussian_mixture(p), gaussian_mixture(q)
+    spec = ScoreSpec("crps")
+    got = expected_score(spec, forecast, truth).value
+    assert got == pytest.approx(
+        expected_score(spec, pushforward(forecast, IDENTITY), truth).value,
+        **TOL)
+
+
+def _oracle_pair_sum(a, b, beta):
+    return math.fsum(wa * wb * oracles.abs_moment_quad(ma - mb, sa ** 2 + sb ** 2,
+                                                      beta)
+                     for wa, ma, sa in a for wb, mb, sb in b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=mixtures(3), q=mixtures(3), beta=st.sampled_from([0.5, 1.5]))
+def test_expected_energy_exact_matches_integrated_moments(p, q, beta):
+    want = _oracle_pair_sum(p, q, beta) - 0.5 * _oracle_pair_sum(p, p, beta)
+    got = expected_energy_score_exact(gaussian_mixture(p),
+                                      gaussian_mixture(q), beta)
+    assert got == pytest.approx(want, **TOL)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+def test_abs_moment_far_tail_is_leading_term(beta):
+    # squaring |m| / sqrt(2 v) overflowed: a warning at beta = 1 and nan
+    # from the hypergeometric form at other beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaussian_abs_moment(1e200, 1.0, beta)
+        batch = gaussian_abs_moment(np.array([-1e200, 1e160, 3.0]), 1.0, beta)
+    assert got == pytest.approx(1e200 ** beta, rel=1e-12)
+    assert batch[0] == pytest.approx(1e200 ** beta, rel=1e-12)
+    assert batch[1] == pytest.approx(1e160 ** beta, rel=1e-12)
+    assert batch[2] == pytest.approx(oracles.abs_moment_quad(3.0, 1.0, beta),
+                                     rel=1e-9)
