@@ -29,7 +29,8 @@ from .distributions import (
     transform_from_json,
     uniform,
 )
-from .quadrature import IntegrationResult, QuadratureError, expectation, integrate
+from .quadrature import (IntegrationResult, QuadratureError, expectation,
+                         integrate, integrate_many)
 from .scores import (
     FAMILIES,
     ScoreSpec,
@@ -90,7 +91,8 @@ __all__ = [
     "density_from_json", "density_to_json", "transform_from_json",
     "gaussian", "gaussian_mixture", "uniform", "pushforward",
     "lp_norm_integral",
-    "IntegrationResult", "QuadratureError", "integrate", "expectation",
+    "IntegrationResult", "QuadratureError", "integrate", "integrate_many",
+    "expectation",
     "FAMILIES", "ScoreSpec", "ScoreValue",
     "crps", "crps_gaussian_exact", "crps_outcome_derivative",
     "energy_score", "ignorance", "naive_linear_score", "power_score",

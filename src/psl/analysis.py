@@ -574,14 +574,14 @@ def relative_score_curve(spec: ScoreSpec, system_a, system_b,
                          y_grid: Sequence[float], *,
                          seed: Optional[int] = None,
                          n: int = 1_000_000):
-    """Pointwise score(A, y) - score(B, y) along a grid of outcomes."""
-    out = []
-    for y in y_grid:
-        y = float(y)
-        sa = score(spec, system_a, y, seed=seed, n=n)
-        sb = score(spec, system_b, y, seed=seed, n=n)
-        out.append((y, sa.value - sb.value))
-    return out
+    """Pointwise score(A, y) - score(B, y) along a grid of outcomes, as
+    (y, relative) pairs; each system scores the whole grid in one
+    ``score`` call."""
+    ys = np.array([float(y) for y in y_grid])
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
+        relative = (score(spec, system_a, ys, seed=seed, n=n)
+                    - score(spec, system_b, ys, seed=seed, n=n))
+    return list(zip(ys.tolist(), relative.tolist()))
 
 
 def transformed_relative_score(spec: ScoreSpec, system_a, system_b,
@@ -677,8 +677,10 @@ def find_preference_flip(spec: ScoreSpec, system_a, system_b,
     preference between the systems.
 
     Scans a ``grid_points`` grid of pre/post relative scores (skipping
-    outcomes where either is non-finite), then bisects the boundaries of
-    the first interval with pre * post < 0 down to ``tol``.  Returns
+    outcomes where either is non-finite), scoring each of the two
+    systems and their two pushforwards on the whole grid in one call,
+    then bisects the boundaries of the first interval with
+    pre * post < 0 down to ``tol`` one outcome at a time.  Returns
     None when no flip exists in the range, which for an invariant rule
     such as ignorance is the expected result.  It needs at least 2 grid
     points and a finite ``tol`` >= 0.
@@ -706,7 +708,12 @@ def find_preference_flip(spec: ScoreSpec, system_a, system_b,
         return pre(y) * post(y)
 
     ys = np.linspace(lo, hi, grid_points)
-    values = np.array([product(y) for y in ys])
+    ystar = np.asarray(transform.forward(ys), dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
+        values = ((score(spec, system_a, ys, seed=seed, n=n)
+                   - score(spec, system_b, ys, seed=seed, n=n))
+                  * (score(spec, ta, ystar, seed=seed, n=n)
+                     - score(spec, tb, ystar, seed=seed, n=n)))
     finite = np.isfinite(values)
     flipped = finite & (values < 0.0)
     if not np.any(flipped):

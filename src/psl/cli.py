@@ -9,8 +9,11 @@ Exit codes: 0 success, 2 validation error (a ``UsageError`` or any
 ``ValueError`` a command raises), 3 numerical failure, 4 when a check
 finds a violation (a finding, not a crash).
 
-The environment variable ``PSL_DEFAULT_SEED`` supplies the seed when
-``--seed`` is absent; Monte-Carlo paths refuse to run without one.
+The subcommands that can score the energy family take ``--seed`` and
+``--draws``; the environment variable ``PSL_DEFAULT_SEED`` supplies the
+seed when ``--seed`` is absent, and Monte-Carlo paths refuse to run
+without one.  ``check-proper`` draws nothing: its ``--seed`` picks the
+sampled pairs (default 0).  ``figure`` takes neither.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _fmt9(x: float) -> str:
 
 
 def _resolve_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("PSL_DEFAULT_SEED")
     if env is None:
@@ -214,8 +217,9 @@ def cmd_figure(args) -> int:
         a, b = pair
         grid = _figure_grid(args, lo, hi, points)
         curve = analysis.relative_score_curve(spec, a, b, grid)
-        rows = [(y, float(a.pdf(y)), float(b.pdf(y)), rel)
-                for y, rel in curve]
+        ys = np.array(grid)
+        rows = [(y, pa, pb, rel) for (y, rel), pa, pb
+                in zip(curve, a.pdf(ys).tolist(), b.pdf(ys).tolist())]
         meta = {
             "command": label,
             "score": json.dumps(spec.to_json()),
@@ -242,8 +246,8 @@ def cmd_figure(args) -> int:
     ta, tb = pushforward(a, cube), pushforward(b, cube)
     grid = _figure_grid(args, 10.0, 13.0, 301)
     pre = analysis.relative_score_curve(spec, a, b, grid)
-    post = analysis.relative_score_curve(
-        spec, ta, tb, [float(cube.forward(y)) for y in grid])
+    post = analysis.relative_score_curve(spec, ta, tb,
+                                         cube.forward(np.array(grid)))
     rows = [(y, rel_pre, rel_post)
             for (y, rel_pre), (_, rel_post) in zip(pre, post)]
 
@@ -339,9 +343,8 @@ def cmd_check_proper(args) -> int:
     spec = _spec_from_args(args)
     if args.pairs < 0:
         raise UsageError("--pairs must be a non-negative count")
-    report = analysis.propriety_check(
-        spec, n_pairs=args.pairs,
-        seed=args.seed if args.seed is not None else 0, tol=args.tol)
+    report = analysis.propriety_check(spec, n_pairs=args.pairs,
+                                      seed=args.seed, tol=args.tol)
     if args.format == "csv":
         meta = {"command": f"check-proper {spec.label()}",
                 "pairs": args.pairs, "tol": _fmt9(args.tol),
@@ -484,8 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead "
                                      "of stdout")
         p.add_argument("--format", choices=fmt, default=default_fmt)
+
+    def monte_carlo(p):
+        # only the subcommands that can score the energy family read these
         p.add_argument("--seed", type=int,
-                       help="RNG seed; PSL_DEFAULT_SEED is the fallback")
+                       help="Monte-Carlo seed (energy score); "
+                            "PSL_DEFAULT_SEED is the fallback")
         p.add_argument("--draws", type=int, default=1_000_000,
                        help="Monte-Carlo sample count (energy score)")
 
@@ -524,6 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clip the density at this positive floor before "
                         "taking the log (ignorance only)")
     common(p, fmt=("plain", "json"), default_fmt="plain")
+    monte_carlo(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("expected", help="expected score of a forecast "
@@ -532,12 +540,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", required=True)
     p.add_argument("--truth", required=True)
     common(p, fmt=("plain", "json"), default_fmt="plain")
+    monte_carlo(p)
     p.set_defaults(func=cmd_expected)
 
     p = sub.add_parser("check-proper", help="falsification run of the "
                                             "propriety inequality")
     family(p)
     p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed that picks the sampled pairs (default 0)")
     p.add_argument("--tol", type=float, default=1e-7)
     common(p, default_fmt="json")
     p.set_defaults(func=cmd_check_proper)
@@ -549,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", required=True,
                    help="target density ratio (> 1, or 'inf')")
     common(p, fmt=("json",), default_fmt="json")
+    monte_carlo(p)
     p.set_defaults(func=cmd_find_witness)
 
     p = sub.add_parser("flip", help="search for a preference flip under a "
@@ -566,6 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--tol", type=float, default=1e-6)
     common(p, fmt=("json",), default_fmt="json")
+    monte_carlo(p)
     p.set_defaults(func=cmd_flip)
 
     p = sub.add_parser("archive-eval", help="score every system in a "
@@ -583,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pseudospherical/energy exponent when listed")
     p.add_argument("--density-floor", type=float)
     common(p, default_fmt="json")
+    monte_carlo(p)
     p.set_defaults(func=cmd_archive_eval)
 
     return parser

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -266,6 +267,10 @@ class GaussianComponent:
             raise ValueError("component parameters must be finite")
         if self.stddev <= 0.0:
             raise ValueError("stddev must be positive")
+        if self.stddev * self.stddev < sys.float_info.min:
+            # the variance every kernel works with would underflow
+            raise ValueError(f"stddev {self.stddev!r} is too small: its "
+                             "square underflows the smallest normal float")
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError("weight must lie in [0, 1]")
 

@@ -55,7 +55,7 @@ from scipy.special import erf, gamma, hyp1f1
 
 from .distributions import (GaussianMixture, PiecewiseUniform,
                             component_pairs, lp_norm_integral)
-from .quadrature import integrate
+from .quadrature import integrate_many
 
 __all__ = [
     "FAMILIES", "MIN_DRAWS", "RULES", "Rule", "ScoreSpec", "ScoreValue",
@@ -98,7 +98,8 @@ class Rule:
     ``param`` names the family's parameter ("alpha", "beta" or None),
     valid on the open interval ``bounds``; a ``monte_carlo`` family draws
     samples and needs a seed.  The evaluators take the spec first:
-    ``pointwise(spec, d, y, seed, n, density_floor)`` scores one outcome,
+    ``pointwise(spec, d, y, seed, n, density_floor)`` scores one outcome
+    or a 1-D array of them (see ``score``),
     ``expected(spec, forecast, truth, integral, seed, n)`` is the mean
     score under ``truth`` (``integral(f)`` integrates over both
     supports), and ``columnar(spec, columns, density_floor)`` scores one
@@ -211,11 +212,23 @@ class ScoreValue:
         return self.value
 
 
-def _check_outcome(y) -> float:
-    y = float(y)
-    if not math.isfinite(y):
+def _check_outcome(y):
+    """A finite outcome as a float, or finite outcomes as a 1-D array."""
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim > 1:
+        raise ValueError("outcomes must be a number or a 1-D array")
+    if not np.isfinite(ys).all():
         raise ValueError("outcome must be finite")
-    return y
+    return float(ys) if ys.ndim == 0 else ys
+
+
+def _scored(y, values):
+    """A ``ScoreValue`` for one outcome (flagged infinite at +inf), the
+    float array of ``values`` for an array of them."""
+    if isinstance(y, float):
+        value = float(values)
+        return ScoreValue(value, infinite=value == math.inf)
+    return np.asarray(values, dtype=float)
 
 
 def ignorance_bits(log_density, density_floor: Optional[float] = None):
@@ -231,7 +244,7 @@ def ignorance_bits(log_density, density_floor: Optional[float] = None):
     return -log_density * _INV_LN2 + 0.0
 
 
-def ignorance(d, y, *, density_floor: Optional[float] = None) -> ScoreValue:
+def ignorance(d, y, *, density_floor: Optional[float] = None):
     """Ignorance score -log2 p(y), in bits.
 
     A zero density yields an infinite score, reported explicitly rather
@@ -240,10 +253,7 @@ def ignorance(d, y, *, density_floor: Optional[float] = None) -> ScoreValue:
     swamp an aggregate; it must be requested explicitly.
     """
     y = _check_outcome(y)
-    bits = float(ignorance_bits(float(d.log_pdf(y)), density_floor))
-    if bits == math.inf:
-        return ScoreValue(math.inf, infinite=True)
-    return ScoreValue(bits)
+    return _scored(y, ignorance_bits(d.log_pdf(y), density_floor))
 
 
 def gaussian_abs_moment(m, v, beta: float):
@@ -324,7 +334,7 @@ def histogram_crps(y, breaks, masses) -> np.ndarray:
     return np.sum(cells, axis=-1) + outside
 
 
-def crps(d, y) -> ScoreValue:
+def crps(d, y):
     """Continuous ranked probability score.
 
     Gaussian mixtures and histograms use their closed forms
@@ -332,28 +342,26 @@ def crps(d, y) -> ScoreValue:
     pushforward) is integrated by adaptive quadrature: the integrand
     (cdf(x) - step(x - y))^2 is split at the outcome so no panel
     straddles the step, over the forecast's truncated support extended
-    to include the outcome, beyond which the integrand is zero.
+    to include the outcome, beyond which the integrand is zero.  An
+    array of outcomes takes one ``integrate_many`` call per side.
     """
     y = _check_outcome(y)
     if isinstance(d, GaussianMixture):
-        return ScoreValue(float(mixture_crps(y, d.weights, d.means,
-                                             d.stddevs)))
+        return _scored(y, mixture_crps(y, d.weights, d.means, d.stddevs))
     if isinstance(d, PiecewiseUniform):
-        return ScoreValue(float(histogram_crps(y, d.breaks, d.masses)))
+        return _scored(y, histogram_crps(y, d.breaks, d.masses))
+    ys = np.atleast_1d(y)
     lo, hi = d.support()
-    lo = min(lo, y)
-    hi = max(hi, y)
     seeds = d.quad_seed_points()
-    total = 0.0
-    if y > lo:
-        total += integrate(lambda x: np.asarray(d.cdf(x), dtype=float) ** 2,
-                           lo, y, abs_tol=_CRPS_SIDE_TOL,
-                           seed_points=seeds).value
-    if hi > y:
-        total += integrate(
-            lambda x: (np.asarray(d.cdf(x), dtype=float) - 1.0) ** 2,
-            y, hi, abs_tol=_CRPS_SIDE_TOL, seed_points=seeds).value
-    return ScoreValue(total)
+    total = np.zeros(len(ys))
+    for side, a, b, step in ((ys > lo, lo, ys, 0.0), (ys < hi, ys, hi, 1.0)):
+        if side.any():
+            total[side] += integrate_many(
+                lambda x: (np.asarray(d.cdf(x), dtype=float) - step) ** 2,
+                np.broadcast_to(a, ys.shape)[side],
+                np.broadcast_to(b, ys.shape)[side],
+                abs_tol=_CRPS_SIDE_TOL, seed_points=seeds)[0]
+    return _scored(y, total.reshape(np.shape(y)))
 
 
 def crps_gaussian_exact(mu: float, sigma: float, y: float) -> float:
@@ -373,8 +381,10 @@ def _energy_estimate(d, beta, seed, n, *, y=None, truth=None) -> ScoreValue:
     Independent streams x, x' from the forecast contribute
     |x - y|^beta - |x - x'|^beta / 2 per draw; the mean is the score and
     the sample variance gives the stderr.  The outcome is ``y``, or a
-    third stream drawn from ``truth`` for the expected score.  The seed
-    is mandatory: there is no implicit entropy anywhere in the package.
+    third stream drawn from ``truth`` for the expected score.  An array
+    of outcomes reuses the two streams for each outcome and gives the
+    array of means.  The seed is mandatory: there is no implicit entropy
+    anywhere in the package.
     """
     if n < MIN_DRAWS:
         raise ValueError(f"energy score needs at least {MIN_DRAWS} draws")
@@ -384,16 +394,18 @@ def _energy_estimate(d, beta, seed, n, *, y=None, truth=None) -> ScoreValue:
         else np.random.SeedSequence(seed)
     streams = ss.spawn(2 if truth is None else 3)
     x = d.sample(streams[0], n)
-    xp = d.sample(streams[1], n)
+    spread = 0.5 * np.abs(x - d.sample(streams[1], n)) ** beta
     if truth is not None:
         y = truth.sample(streams[2], n)
-    contrib = np.abs(x - y) ** beta - 0.5 * np.abs(x - xp) ** beta
+    elif not isinstance(y, float):
+        return np.array([np.mean(np.abs(x - v) ** beta - spread) for v in y])
+    contrib = np.abs(x - y) ** beta - spread
     value = float(np.mean(contrib))
     stderr = float(np.std(contrib, ddof=1) / math.sqrt(n))
     return ScoreValue(value, stderr=stderr)
 
 
-def energy_score(d, y, beta: float, *, seed: int, n: int = 1_000_000) -> ScoreValue:
+def energy_score(d, y, beta: float, *, seed: int, n: int = 1_000_000):
     """Monte-Carlo energy score for beta in (0, 2); see ``_energy_estimate``."""
     y = _check_outcome(y)
     return _energy_estimate(d, _parameter("energy", beta), seed, n, y=y)
@@ -401,7 +413,9 @@ def energy_score(d, y, beta: float, *, seed: int, n: int = 1_000_000) -> ScoreVa
 
 def power_rule(p, norm, alpha: float):
     """-alpha p^(alpha-1) + (alpha-1) norm, from the density at the outcome
-    and the integral of p^alpha."""
+    and the integral of p^alpha; numpy arithmetic, so one outcome rounds
+    as it does inside an array."""
+    p = np.asarray(p, dtype=float)
     return -alpha * p ** (alpha - 1.0) + (alpha - 1.0) * norm
 
 
@@ -413,15 +427,14 @@ def pseudospherical_rule(p, norm, beta: float):
     return np.where(p > 0.0, value, 0.0)
 
 
-def power_score(d, y, alpha: float) -> ScoreValue:
+def power_score(d, y, alpha: float):
     """Power score -alpha p(y)^(alpha-1) + (alpha-1) integral(p^alpha)."""
     y = _check_outcome(y)
     alpha = _parameter("power", alpha)
-    p = float(d.pdf(y))
-    return ScoreValue(float(power_rule(p, lp_norm_integral(d, alpha), alpha)))
+    return _scored(y, power_rule(d.pdf(y), lp_norm_integral(d, alpha), alpha))
 
 
-def pseudospherical_score(d, y, beta: float) -> ScoreValue:
+def pseudospherical_score(d, y, beta: float):
     """Pseudospherical score -(p(y) / ||p||_beta)^(beta-1).
 
     ``||p||_beta`` is the L^beta norm (integral(p^beta))^(1/beta).  This
@@ -432,24 +445,27 @@ def pseudospherical_score(d, y, beta: float) -> ScoreValue:
     """
     y = _check_outcome(y)
     beta = _parameter("pseudospherical", beta)
-    p = float(d.pdf(y))
-    if p <= 0.0:
-        return ScoreValue(0.0)
-    norm = lp_norm_integral(d, beta)
-    return ScoreValue(float(pseudospherical_rule(p, norm, beta)))
+    p = np.asarray(d.pdf(y), dtype=float)
+    # The norm is needed, and integrated, only where there is density.
+    norm = lp_norm_integral(d, beta) if (p > 0.0).any() else 1.0
+    return _scored(y, pseudospherical_rule(p, norm, beta))
 
 
-def naive_linear_score(d, y) -> ScoreValue:
+def naive_linear_score(d, y):
     """Improper linear score -p(y); the propriety negative control."""
     y = _check_outcome(y)
-    return ScoreValue(-float(d.pdf(y)))
+    return _scored(y, -np.asarray(d.pdf(y), dtype=float))
 
 
 def score(spec: ScoreSpec, d, y, *, seed: Optional[int] = None,
-          n: int = 1_000_000,
-          density_floor: Optional[float] = None) -> ScoreValue:
+          n: int = 1_000_000, density_floor: Optional[float] = None):
     """Evaluate any score family from its spec, through its ``RULES`` entry.
 
+    ``y`` is one outcome, scored into a ``ScoreValue``, or a 1-D array
+    of outcomes, scored in one call into a float array (+inf marks a
+    zero-density ignorance; Monte-Carlo stderrs are dropped).  Each
+    entry of the array equals the ``ScoreValue`` of that outcome alone,
+    up to the rounding of the batched density and quadrature kernels.
     ``seed``/``n`` apply to the Monte-Carlo energy family only;
     ``density_floor`` to ignorance only.
     """

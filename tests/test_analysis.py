@@ -32,6 +32,7 @@ from psl.distributions import (
     exp_transform,
     gaussian,
     gaussian_mixture,
+    pushforward,
     uniform,
 )
 from psl.scores import ScoreSpec
@@ -381,6 +382,67 @@ def test_find_preference_flip_none_for_invariant_rule():
     a, b = transform_flip_pair()
     assert find_preference_flip(IGN, a, b, cubic_transform(),
                                 (11.0, 12.5), grid_points=101) is None
+
+
+def _scan_calls(monkeypatch, scan, sizes=(201, 2001)):
+    """Integrand calls of the batched quadrature and density calls that
+    ``scan(points)`` makes at each grid size; scalar integrals (one
+    interval, as the flip bisection makes) are left out.  Blocks are made
+    unbounded so a call count does not grow with the number of panels."""
+    import psl
+
+    monkeypatch.setattr(psl.quadrature, "_BLOCK_PANELS", 10 ** 9)
+    real = psl.quadrature.integrate_many
+    counts = {}
+
+    def counted(f, lo, hi, **kw):
+        def g(x):
+            counts["integrand"] += len(lo) > 1
+            return f(x)
+        return real(g, lo, hi, **kw)
+    monkeypatch.setattr(psl.scores, "integrate_many", counted)
+    real_log_pdf = psl.distributions.GaussianMixture.log_pdf
+
+    def log_pdf(self, x):
+        counts["log_pdf"] += np.ndim(x) > 0
+        return real_log_pdf(self, x)
+    monkeypatch.setattr(psl.distributions.GaussianMixture, "log_pdf",
+                        log_pdf)
+    seen = []
+    for points in sizes:
+        counts.update(integrand=0, log_pdf=0)
+        scan(points)
+        seen.append(dict(counts))
+    return seen
+
+
+def test_flip_scan_calls_do_not_grow_with_the_grid(monkeypatch):
+    # one score call per system and grid: a return to scoring one
+    # outcome at a time makes the counts grow tenfold
+    a, b = transform_flip_pair()
+    small, large = _scan_calls(monkeypatch, lambda points: (
+        find_preference_flip(CRPS, a, b, cubic_transform(), (10.0, 13.0),
+                             grid_points=points),
+        find_preference_flip(IGN, a, b, cubic_transform(), (10.0, 13.0),
+                             grid_points=points)))
+    assert small == large
+    assert 0 < large["integrand"] <= 20
+    assert large["log_pdf"] == 4    # both systems and both pushforwards
+
+
+def test_relative_score_curve_calls_do_not_grow_with_the_grid(monkeypatch):
+    a, b = transform_flip_pair()
+    cube = cubic_transform()
+    ta, tb = pushforward(a, cube), pushforward(b, cube)
+
+    def scan(points):
+        ys = np.linspace(10.0, 13.0, points)
+        relative_score_curve(CRPS, ta, tb, cube.forward(ys))
+        relative_score_curve(IGN, a, b, ys)
+    small, large = _scan_calls(monkeypatch, scan)
+    assert small == large
+    assert 0 < large["integrand"] <= 20
+    assert large["log_pdf"] == 2
 
 
 def test_relative_score_curve_shape():

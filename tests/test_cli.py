@@ -70,6 +70,18 @@ def test_score_rejects_bad_density(capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("family", [["crps"], ["power", "--alpha", "2"]])
+def test_score_rejects_stddev_whose_square_underflows(capsys, family):
+    # the density is refused when it is parsed, naming the stddev, instead
+    # of failing inside a kernel ("variance must be positive") or warning
+    tiny = ('{"type": "gaussian_mixture", '
+            '"components": [{"w": 1, "mu": 0.5, "sigma": 1e-170}]}')
+    code, out, err = run(["score", "--family", *family, "--density", tiny,
+                          "--outcome", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "--density: stddev 1e-170" in err
+
+
 def test_score_rejects_stray_parameter(capsys):
     code, _, err = run(["score", "--family", "crps", "--alpha", "2",
                         "--density", STD_JSON, "--outcome", "0"], capsys)
@@ -326,11 +338,10 @@ def test_check_proper_rejects_negative_pairs(capsys):
 
 @pytest.mark.parametrize("env,extra", [
     (None, []),
-    ("0", ["--draws", "5"]),
 ])
 def test_check_proper_energy_draws_nothing(capsys, monkeypatch, env, extra):
-    # the closed form draws no samples, so neither a seed nor --draws
-    # matters; --seed only chooses the pairs (0 by default)
+    # the closed form draws no samples, so no seed matters; --seed only
+    # chooses the pairs (0 by default)
     monkeypatch.setenv("PSL_DEFAULT_SEED", "7")
     code, seeded, _ = run(["check-proper", "--family", "energy", "--beta",
                            "1", "--pairs", "2", "--seed", "0", "--format",
@@ -590,6 +601,20 @@ def test_installed_console_script():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "0.0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "2", "--points", "3", "--seed", "5", "--draws", "3"],
+    ["figure", "--id", "2", "--points", "3", "--seed", "5"],
+    ["check-proper", "--family", "crps", "--pairs", "1", "--draws", "3"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    # figure draws nothing and check-proper's --seed only picks the pairs,
+    # so a Monte-Carlo flag there would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -42,6 +42,17 @@ def test_component_validation():
         GaussianComponent(weight=1.2, mean=0.0, stddev=1.0)
 
 
+@pytest.mark.parametrize("stddev", [1e-170, 1e-155, 5e-324])
+def test_component_rejects_stddev_whose_square_underflows(stddev):
+    # every kernel works with the variance, which would be 0 or subnormal
+    with pytest.raises(ValueError, match="stddev"):
+        GaussianComponent(weight=1.0, mean=0.5, stddev=stddev)
+    with pytest.raises(ValueError, match="stddev"):
+        density_from_json({"type": "gaussian_mixture", "components": [
+            {"w": 1, "mu": 0.5, "sigma": stddev}]})
+    assert GaussianComponent(1.0, 0.5, 1e-150).stddev == 1e-150
+
+
 def test_mixture_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         gaussian_mixture([(0.5, 0.0, 1.0), (0.4, 1.0, 1.0)])

@@ -5,7 +5,8 @@ folded-normal oracle for mixture CRPS, direct integration of Gaussian
 absolute moments for the expected energy score, and the package's own
 quadrature path, reached through the identity pushforward
 ``affine_transform(1, 0)`` (a pushforward has no closed form, so it is
-always integrated).
+always integrated).  Scores of an outcome array are checked against
+the scores of its outcomes one at a time.
 """
 
 import math
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from psl.distributions import (
     PiecewiseUniform,
     affine_transform,
+    cubic_transform,
+    exp_transform,
     gaussian_mixture,
     histogram_lp_integral,
     histogram_pdf,
@@ -29,8 +32,9 @@ from psl.distributions import (
     pushforward,
 )
 from psl.analysis import expected_energy_score_exact, expected_score
-from psl.scores import (ScoreSpec, crps, gaussian_abs_moment, histogram_crps,
-                        mixture_crps)
+from psl.quadrature import QuadratureError
+from psl.scores import (MIN_DRAWS, ScoreSpec, crps, gaussian_abs_moment,
+                        histogram_crps, mixture_crps, score)
 
 import oracles
 
@@ -204,3 +208,59 @@ def test_abs_moment_far_tail_is_leading_term(beta):
     assert batch[1] == pytest.approx(1e160 ** beta, rel=1e-12)
     assert batch[2] == pytest.approx(oracles.abs_moment_quad(3.0, 1.0, beta),
                                      rel=1e-9)
+
+
+SPECS = [ScoreSpec("ignorance"), ScoreSpec("crps"),
+         ScoreSpec("energy", beta=1.0), ScoreSpec("energy", beta=0.5),
+         ScoreSpec("power", alpha=2.0), ScoreSpec("power", alpha=1.3),
+         ScoreSpec("pseudospherical", beta=2.0),
+         ScoreSpec("pseudospherical", beta=1.3), ScoreSpec("naive_linear")]
+TRANSFORMS = {"affine": affine_transform(-0.7, 2.0), "cubic": cubic_transform(),
+              "exp": exp_transform()}
+
+
+def _scored_one_at_a_time(spec, d, ys):
+    try:
+        return np.array([score(spec, d, y, seed=3, n=MIN_DRAWS).value
+                         for y in ys])
+    except QuadratureError:     # a divergent norm (cubic, alpha >= 1.5)
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from(["mixture", "histogram"]),
+       transform=st.sampled_from([None, *sorted(TRANSFORMS)]),
+       data=st.data())
+def test_outcome_array_scores_as_its_outcomes_one_by_one(base, transform,
+                                                         data):
+    if base == "mixture":
+        comps = data.draw(mixtures(3))
+        d, points = gaussian_mixture(comps), [m for _, m, _ in comps]
+        pdf_rounds = len(comps) > 1     # the matrix-vector pdf of K > 1
+    else:
+        breaks, masses = data.draw(histograms())
+        d, points, pdf_rounds = PiecewiseUniform(breaks, masses), breaks, False
+    ys = np.array(data.draw(st.lists(
+        st.floats(-15.0, 15.0) | st.sampled_from(points),
+        min_size=1, max_size=6)))
+    if transform is not None:
+        d = pushforward(d, TRANSFORMS[transform])
+        ys = np.asarray(TRANSFORMS[transform].forward(ys), dtype=float)
+    for spec in SPECS:
+        want = _scored_one_at_a_time(spec, d, ys)
+        if want is None:
+            with pytest.raises(QuadratureError):
+                score(spec, d, ys, seed=3, n=MIN_DRAWS)
+            continue
+        got = score(spec, d, ys, seed=3, n=MIN_DRAWS)
+        assert isinstance(got, np.ndarray) and got.shape == ys.shape
+        reads_pdf = spec.family in ("power", "pseudospherical",
+                                    "naive_linear")
+        if (spec.family == "crps" and transform is not None) or (
+                reads_pdf and pdf_rounds):
+            # batched quadrature and the batched mixture pdf round
+            # differently from one outcome at a time
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300,
+                                        nan_ok=True)
+        else:
+            assert np.array_equal(got, want, equal_nan=True), spec.label()

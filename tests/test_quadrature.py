@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl.quadrature import IntegrationResult, QuadratureError, expectation, integrate
+from psl import quadrature
+from psl.quadrature import (IntegrationResult, QuadratureError, expectation,
+                            integrate, integrate_many)
 
 import oracles
 
@@ -90,3 +92,90 @@ def test_polynomials_match_antiderivative(coeffs, lo, width):
     exact = poly.integ()(hi) - poly.integ()(lo)
     got = integrate(lambda x: poly(np.asarray(x)), lo, hi).value
     assert got == pytest.approx(exact, abs=1e-8, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# integrate_many: one adaptive loop over many intervals
+# ---------------------------------------------------------------------------
+
+INTEGRANDS = {
+    "smooth": lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+    "kink": lambda x: np.sqrt(np.abs(x - 0.3)),
+    "oscillating": lambda x: np.sin(1.0 / (np.abs(x) + 0.05)),
+    "peak": lambda x: 1.0 / (1.0 + 400.0 * (x - 1.0) ** 2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(INTEGRANDS)),
+    bounds=st.lists(st.tuples(st.floats(-6.0, 5.0), st.floats(0.01, 8.0)),
+                    min_size=1, max_size=8),
+    seeds=st.lists(st.floats(-7.0, 7.0), max_size=6),
+)
+def test_integrate_many_matches_lone_integrals(name, bounds, seeds):
+    f = INTEGRANDS[name]
+    lo = np.array([a for a, _ in bounds])
+    hi = lo + np.array([w for _, w in bounds])
+    values, errors, panels = integrate_many(f, lo, hi, seed_points=seeds)
+    assert values.shape == errors.shape == panels.shape == (len(bounds),)
+    for i in range(len(bounds)):
+        lone = integrate(f, lo[i], hi[i], seed_points=seeds)
+        # within both error estimates, plus rounding: the batch evaluates
+        # the panels in other positions of the Kronrod matrix product
+        assert abs(values[i] - lone.value) <= (
+            errors[i] + lone.error_estimate + 1e-14 * abs(lone.value))
+        assert errors[i] <= max(1e-10, 1e-9 * abs(values[i]))
+        assert panels[i] >= 1
+
+
+def test_integrate_is_integrate_many_on_one_interval():
+    f = INTEGRANDS["oscillating"]
+    lone = integrate(f, -1.0, 2.0, seed_points=(0.0, 0.5))
+    values, errors, panels = integrate_many(f, [-1.0], [2.0],
+                                            seed_points=(0.0, 0.5))
+    assert (lone.value, lone.error_estimate, lone.subdivisions) == (
+        values[0], errors[0], panels[0])
+    assert type(lone.subdivisions) is int
+
+
+def test_integrate_many_of_no_intervals():
+    values, errors, panels = integrate_many(np.cos, [], [])
+    assert values.shape == errors.shape == panels.shape == (0,)
+
+
+def test_integrate_many_rejects_bad_bounds():
+    with pytest.raises(ValueError, match="finite"):
+        integrate_many(np.cos, [0.0, -np.inf], [1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly below"):
+        integrate_many(np.cos, [0.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="1-D"):
+        integrate_many(np.cos, [0.0, 1.0], [1.0])
+
+
+def test_one_divergent_interval_fails_the_batch_by_name():
+    f = lambda x: np.where(x > 10.0, np.inf, x)
+    with pytest.raises(QuadratureError, match=r"over \[10\.0, 11\.0\]"):
+        integrate_many(f, [0.0, 2.0, 10.0, 4.0], [1.0, 3.0, 11.0, 5.0])
+
+
+def test_one_unconverged_interval_fails_the_batch_by_name():
+    nasty = lambda x: np.sin(1.0 / (np.abs(x) + 1e-14))
+    with pytest.raises(QuadratureError, match=r"on \[-1\.0, 1\.0\]") as exc:
+        integrate_many(nasty, [2.0, -1.0], [3.0, 1.0], abs_tol=1e-15,
+                       rel_tol=1e-15, max_subdivisions=4)
+    assert exc.value.subdivisions >= 4
+
+
+def test_integrand_calls_stay_within_one_block():
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return INTEGRANDS["kink"](x)
+    lo = np.linspace(-5.0, 4.0, 700)
+    values, _, panels = integrate_many(f, lo, lo + 1.5,
+                                       seed_points=np.linspace(-6, 6, 25))
+    assert panels.sum() > 4 * quadrature._BLOCK_PANELS  # many blocks
+    assert max(sizes) <= 15 * quadrature._BLOCK_PANELS
+    assert np.all(np.isfinite(values))
