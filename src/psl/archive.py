@@ -199,15 +199,35 @@ def load_archive_csv(source) -> list:
 
 @dataclass(frozen=True)
 class EmpiricalScore:
-    """Mean score over an archive, with infinite contributions flagged."""
+    """Mean score over an archive, with infinite contributions flagged.
+
+    ``stderr`` is the sample standard error of the mean, std(ddof=1) /
+    sqrt(count) over the per-record scores; nan for fewer than two
+    records or when any record scores infinite.
+    """
 
     value: float
     count: int
     infinite_count: int = 0
+    stderr: float = math.nan
 
     @property
     def infinite(self) -> bool:
         return self.infinite_count > 0
+
+
+def _standard_error(vals: np.ndarray) -> float:
+    """std(vals, ddof=1) / sqrt(n), with the deviations scaled by the
+    largest so that squaring them cannot overflow on far-tail scores;
+    nan for fewer than two values or an infinite one."""
+    n = len(vals)
+    if n < 2 or np.isinf(vals).any():
+        return math.nan
+    dev = vals - np.mean(vals)
+    top = float(np.max(np.abs(dev)))
+    if not top > 0.0:
+        return top  # 0 for equal values, nan for a nan value
+    return top * math.sqrt(float(np.sum((dev / top) ** 2)) / ((n - 1) * n))
 
 
 def _require_system(records: Sequence[ForecastRecord], system: str):
@@ -322,7 +342,8 @@ class _SystemColumns:
             infinite_count += sv.infinite
             vals[i] = sv.value
         return EmpiricalScore(value=float(np.mean(vals)), count=len(vals),
-                              infinite_count=infinite_count)
+                              infinite_count=infinite_count,
+                              stderr=_standard_error(vals))
 
 
 def empirical_score(spec: ScoreSpec, records: Sequence[ForecastRecord],

@@ -40,7 +40,9 @@ evaluated by the broadcasting kernels ``mixture_crps`` and
 ``histogram_crps`` over parameter rows of shape (..., K); ``crps`` calls
 them with one row and archive scoring with one row per record.  Mixture
 CRPS, pointwise and expected, and the exact expected energy score are
-one pair sum of Gaussian absolute moments, ``mixture_energy``.  The
+one pair sum of Gaussian absolute moments, ``mixture_energy``, whose
+beta = 1 moment needs only ``distributions.erf``; scipy's ``hyp1f1`` is
+imported at the first moment of another exponent.  The
 pointwise rules (``ignorance_bits``, ``power_rule``,
 ``pseudospherical_rule``) are written once over arrays and shared.
 """
@@ -53,10 +55,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf, gamma, hyp1f1
 
 from .distributions import (GaussianMixture, PiecewiseUniform,
-                            component_pairs, lp_norm_integral,
+                            component_pairs, erf, lp_norm_integral,
                             mixture_log_pdf, mixture_lp_integral,
                             lp_norm_integrals,
                             mixture_overlap, mixture_pdf, mixture_rows_at,
@@ -280,9 +281,14 @@ def ignorance(d, y, *, density_floor: Optional[float] = None):
 def gaussian_abs_moment(m, v, beta: float):
     """E|X|^beta for X ~ N(m, v), v > 0, broadcasting over ``m`` and ``v``.
 
-    With z = |m| / sqrt(2 v): the folded-normal mean at beta = 1, else
+    With z = |m| / sqrt(2 v): the folded-normal mean
+    |m| erf(z) + sqrt(2 v / pi) exp(-z^2) at beta = 1, with the C
+    library's erf (``distributions.erf``); else
     (2 v)^(beta/2) Gamma((1 + beta)/2) / sqrt(pi) 1F1(-beta/2; 1/2; -z^2),
-    and |m|^beta past z = 1e16, so z^2 never overflows.
+    with scipy's ``hyp1f1`` imported at the first such call, and
+    |m|^beta past z = 1e16, so z^2 never overflows.  Every mixture CRPS
+    and every energy score at beta = 1 takes the first form, so none of
+    them loads scipy.
     """
     m = np.abs(m)
     v = np.asarray(v, dtype=float)
@@ -293,7 +299,8 @@ def gaussian_abs_moment(m, v, beta: float):
     z2 = np.minimum(z, _MOMENT_TAIL) ** 2
     if beta == 1.0:
         return m * erf(z) + r * _INV_SQRTPI * np.exp(-z2)
-    body = ((2.0 * v) ** (0.5 * beta) * gamma(0.5 * (1.0 + beta))
+    from scipy.special import hyp1f1
+    body = ((2.0 * v) ** (0.5 * beta) * math.gamma(0.5 * (1.0 + beta))
             / math.sqrt(math.pi) * hyp1f1(-0.5 * beta, 0.5, -z2))
     return np.where(z > _MOMENT_TAIL, m ** beta, body)[()]
 

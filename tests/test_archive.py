@@ -166,6 +166,30 @@ def test_empirical_score_density_floor():
     assert out.infinite_count == 0
 
 
+def test_empirical_score_stderr():
+    rng = np.random.default_rng(3)
+    ys = rng.normal(0.4, 1.5, size=40).tolist()
+    g = gaussian(0.2, 1.3)
+    records = [ForecastRecord({"g": g}, y) for y in ys]
+    for spec in (IGN, CRPS, ScoreSpec("power", alpha=3.0)):
+        vals = [score(spec, g, y).value for y in ys]
+        out = empirical_score(spec, records, "g")
+        assert out.stderr == pytest.approx(
+            np.std(vals, ddof=1) / math.sqrt(len(vals)), rel=1e-12)
+    same = [ForecastRecord({"g": g}, 0.5)] * 3
+    assert empirical_score(IGN, same, "g").stderr == 0.0
+    assert math.isnan(empirical_score(IGN, records[:1], "g").stderr)
+    # far-tail scores near 1e200 square past the float range
+    far = [ForecastRecord({"g": g}, y) for y in (1e200, -1e200, 0.0)]
+    vals = [score(CRPS, g, r.outcome).value for r in far]
+    assert empirical_score(CRPS, far, "g").stderr == pytest.approx(
+        np.std(np.array(vals) / 1e200, ddof=1) * 1e200 / math.sqrt(3),
+        rel=1e-12)
+    infinite = [ForecastRecord({"u": uniform(0.0, 1.0)}, y)
+                for y in (0.5, 0.25, 3.0)]
+    assert math.isnan(empirical_score(IGN, infinite, "u").stderr)
+
+
 def test_both_zero_relative_ignorance_is_an_error():
     records = [ForecastRecord(
         {"a": uniform(0.0, 1.0), "b": uniform(0.0, 1.0)}, 5.0)]

@@ -159,17 +159,53 @@ def test_score_rejects_bad_density_floor(capsys, floor):
     assert "density floor must be positive and finite" in err
 
 
-def test_score_far_tail_is_finite_and_silent():
-    # the pair kernel squared |y - mu| / sqrt(2 v) and warned of overflow
+def _run_psl(argv):
+    """``python -m psl argv`` in a fresh interpreter, so that warnings
+    reach its stderr."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "psl", "score", "--family", "crps",
-         "--density", STD_JSON, "--outcome", "1e200"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "psl", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_score_far_tail_is_finite_and_silent():
+    # the pair kernel squared |y - mu| / sqrt(2 v) and warned of overflow
+    proc = _run_psl(["score", "--family", "crps",
+                     "--density", STD_JSON, "--outcome", "1e200"])
     assert proc.returncode == 0
     assert proc.stdout == "1e+200\n"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("family, expected", [
+    (["ignorance"], '"infinity"'),
+    (["power", "--alpha", "2"], "0.282094792"),
+    (["pseudospherical", "--beta", "2"], "0.0"),
+    (["naive_linear"], "-0.0"),
+])
+def test_score_density_far_tail_is_silent(family, expected):
+    # the density kernels square (y - mu) / sigma, which overflows to inf
+    # past 1.3e154; the density is then 0 and its log -inf, unwarned
+    proc = _run_psl(["score", "--family", *family,
+                     "--density", STD_JSON, "--outcome", "1e200"])
+    assert proc.returncode == 0
+    assert proc.stdout == expected + "\n"
+    assert proc.stderr == ""
+
+
+def test_archive_eval_far_tail_is_silent(tmp_path):
+    path = tmp_path / "far.jsonl"
+    path.write_text("\n".join(
+        json.dumps({"forecasts": {"g": json.loads(STD_JSON)}, "outcome": y})
+        for y in (1e200, 0.5)))
+    proc = _run_psl(["archive-eval", "--archive", str(path), "--families",
+                     "ignorance,crps,power,pseudospherical,naive_linear"])
+    assert proc.returncode == 0
+    means = {fam: m["mean"] for fam, m
+             in json.loads(proc.stdout)["systems"]["g"].items()}
+    assert means["ignorance"] == "infinity"
+    assert means["crps"] == 5e199
     assert proc.stderr == ""
 
 
