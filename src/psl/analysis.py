@@ -21,23 +21,26 @@ statements about forecast systems:
   fixed forecast, which lands on the forecast median no matter how
   little density sits there.
 
-Each family's expected score comes from its entry in ``scores.RULES``.
-For two Gaussian mixtures the rule's ``expected_exact`` gives it in
-closed form where one exists: the CRPS and energy score through the
-Gaussian-pair sum ``scores.mixture_energy``, the power and
-pseudospherical scores at parameter 2 and the naive linear score
-through the overlap integral of two mixtures, and the ignorance of two
-single Gaussians as their cross-entropy.  The other cases reduce to a
-single integral over the union of both supports: the CRPS expectation
-to integral((F_p - F_q)^2) + integral(F_q (1 - F_q)), the rules that
-read the forecast through p(y) to integral(g(p) q) finished with the
-rule's norm; the test suite validates each identity against a directly
-nested integral of the pointwise score.  ``expected_score`` uses
-paired-stream Monte Carlo for the energy family.  ``propriety_check``
-scores all its pairs at once: closed forms on padded mixture rows, one
-batched quadrature (``quadrature.integrate_many``) for the mixture
-pairs left without one, and one more for every L1 distance; nothing is
-drawn at random, so energy margins down at 1e-7 are exact.
+Each family's expected score and witness recipe come from its entry in
+``scores.RULES``.  For two Gaussian mixtures the rule's
+``expected_exact`` gives the expected score in closed form where one
+exists: the CRPS and energy score through the Gaussian-pair sum
+``scores.mixture_energy``, the power and pseudospherical scores at
+parameter 2 and the naive linear score through the overlap integral of
+two mixtures, and the ignorance of two single Gaussians as their
+cross-entropy.  The other cases reduce to a single integral over the
+union of both supports: the CRPS expectation to
+integral((F_p - F_q)^2) + integral(F_q (1 - F_q)), the rules that read
+the forecast through p(y) to integral(g(p) q) finished with the rule's
+norm; the test suite validates each identity against a directly nested
+integral of the pointwise score.  Expected scores and L1 distances are
+computed for lists of pairs of any density kinds at once (closed forms
+on padded mixture rows, then one batched quadrature,
+``quadrature.integrate_many``, for every pair left); ``expected_score``
+and ``l1_distance`` are their one-pair cases, except that
+``expected_score`` uses paired-stream Monte Carlo for the energy family.
+``propriety_check`` draws nothing at random, so energy margins down at
+1e-7 are exact.
 """
 
 from __future__ import annotations
@@ -50,18 +53,16 @@ import numpy as np
 
 from .distributions import (
     GaussianMixture,
-    PiecewiseUniform,
     Transform,
+    densities_at,
+    density_envelopes,
     density_to_json,
     gaussian,
     gaussian_mixture,
-    mixture_envelopes,
-    mixture_pdf,
     mixture_rows,
-    mixture_rows_at,
     pushforward,
 )
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate_many
 from .scores import (ScoreSpec, ScoreValue, _parameter, encode_number,
                      gaussian_abs_moment, mixture_energy, score)
 
@@ -81,7 +82,6 @@ __all__ = [
     "inverse_width_pair",
 ]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _LOG_RATIO_TOL = 1e-9
 _L1_TOL = 1e-8  # absolute and relative quadrature tolerance of l1_distance
 STRICT_L1 = 0.05  # see ProprietyReport
@@ -97,22 +97,14 @@ def _score_value_json(v: ScoreValue) -> dict:
     return out
 
 
-def _envelope(*densities):
-    """Union support interval and merged interior seed points."""
-    lo = min(d.support()[0] for d in densities)
-    hi = max(d.support()[1] for d in densities)
-    seeds = set()
-    for d in densities:
-        seeds.update(d.quad_seed_points())
-    return lo, hi, tuple(sorted(seeds))
-
-
 def _integrate_pairs(f, forecasts, truths, **tol):
-    """``integrate_many`` of f(x, k) over the envelope of each pair k of
-    Gaussian mixtures, cut at that pair's seed points, as ``_envelope``
-    gives them: (values, error estimates)."""
+    """``integrate_many`` of f(x, k) over the union of the supports of
+    each pair k of densities, cut at the seed points of both:
+    (values, error estimates)."""
     n = len(forecasts)
-    lo, hi, seeds = mixture_envelopes(list(forecasts) + list(truths))
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    lo, hi, seeds = density_envelopes(list(forecasts) + list(truths))
     values, errors, _ = integrate_many(
         f, np.minimum(lo[:n], lo[n:]), np.maximum(hi[:n], hi[n:]),
         seed_points=np.concatenate([seeds[:n], seeds[n:]], axis=1), **tol)
@@ -123,26 +115,39 @@ def _integrate_pairs(f, forecasts, truths, **tol):
 # Expected and relative expected scores
 # ---------------------------------------------------------------------------
 
-def _expected(spec: ScoreSpec, forecast, truth, seed=None, n=1_000_000):
-    """``expected_score`` and the summed error estimate of its quadrature
-    (0 for a closed form or a Monte-Carlo estimate)."""
-    rule = spec.rule
-    if (rule.expected_exact is not None and not rule.monte_carlo
-            and isinstance(forecast, GaussianMixture)
-            and isinstance(truth, GaussianMixture)):
-        value = float(rule.expected_exact(spec, mixture_rows([forecast]),
-                                          mixture_rows([truth]))[0])
-        if not math.isnan(value):
-            return ScoreValue(value), 0.0
-    errors = []
+def _expected_scores(spec: ScoreSpec, forecasts, truths):
+    """Mean score of each forecast under its truth, with the error
+    estimate of its quadrature (0 for a closed form).
 
-    def integral(f):
-        lo, hi, seeds = _envelope(forecast, truth)
-        result = integrate(f, lo, hi, seed_points=seeds)
-        errors.append(result.error_estimate)
-        return result.value
-    return rule.expected(spec, forecast, truth, integral, seed, n), \
-        math.fsum(errors)
+    Pairs of Gaussian mixtures are stacked into padded rows and scored by
+    the rule's ``expected_exact`` in one call; every row left nan, of
+    whatever density kinds, goes to the rule's ``expected``, one
+    ``integrate_many`` call for all of them.  A Monte-Carlo family is
+    refused there: its margins need the closed form.
+    """
+    rule = spec.rule
+    values = np.full(len(forecasts), np.nan)
+    errors = np.zeros(len(forecasts))
+    mix = [i for i, (p, q) in enumerate(zip(forecasts, truths))
+           if isinstance(p, GaussianMixture) and isinstance(q, GaussianMixture)]
+    if mix:
+        values[mix] = rule.expected_exact(
+            spec, mixture_rows([forecasts[i] for i in mix]),
+            mixture_rows([truths[i] for i in mix]))
+    left = np.flatnonzero(np.isnan(values))
+    if len(left):
+        if rule.monte_carlo:
+            raise ValueError(f"{spec.family} propriety margins need the "
+                             "closed form, which takes Gaussian mixtures "
+                             "only")
+        ps = [forecasts[i] for i in left]
+        qs = [truths[i] for i in left]
+
+        def integral(f):
+            out, errors[left] = _integrate_pairs(f, ps, qs)
+            return out
+        values[left] = rule.expected(spec, ps, qs, integral)
+    return values, errors
 
 
 def expected_score(spec: ScoreSpec, forecast, truth, *,
@@ -150,14 +155,18 @@ def expected_score(spec: ScoreSpec, forecast, truth, *,
                    n: int = 1_000_000) -> ScoreValue:
     """Mean score of ``forecast`` when outcomes are drawn from ``truth``.
 
-    The family's ``RULES`` entry evaluates it: in closed form
-    (``expected_exact``) for two Gaussian mixtures where one exists,
-    else by deterministic quadrature over the union of both supports,
-    except that the energy family draws ``n`` paired Monte-Carlo samples
-    (two independent streams from the forecast, one from the truth) and
-    reports a standard error; it requires an explicit ``seed``.
+    The one-pair case of ``_expected_scores``: the family's ``RULES``
+    entry evaluates it in closed form (``expected_exact``) for two
+    Gaussian mixtures where one exists, else by deterministic quadrature
+    over the union of both supports.  The energy family instead draws
+    ``n`` paired Monte-Carlo samples (two independent streams from the
+    forecast, one from the truth) and reports a standard error; it
+    requires an explicit ``seed``.
     """
-    return _expected(spec, forecast, truth, seed, n)[0]
+    if spec.rule.monte_carlo:
+        return spec.rule.expected(spec, forecast, truth, seed, n)
+    value = float(_expected_scores(spec, [forecast], [truth])[0][0])
+    return ScoreValue(value, infinite=value == math.inf)
 
 
 def relative_expected_score(spec: ScoreSpec, system_a, system_b, truth, *,
@@ -261,40 +270,19 @@ def inverse_width_skill_curve(sigma_grid: Sequence[float]) -> SkillCurve:
 # Propriety falsification
 # ---------------------------------------------------------------------------
 
-def _both_mixtures(p, q) -> bool:
-    return isinstance(p, GaussianMixture) and isinstance(q, GaussianMixture)
-
-
 def _l1_distances(ps, qs):
-    """Integral of |p - q| over the union of both supports for each pair:
-    (values, error estimates).  The Gaussian-mixture pairs share one
-    ``integrate_many`` call on padded rows; any other pair is integrated
-    on its own."""
-    values, errors = np.empty(len(ps)), np.empty(len(ps))
-    mix = np.array([_both_mixtures(p, q) for p, q in zip(ps, qs)], dtype=bool)
-    if mix.any():
-        pm = [p for p, m in zip(ps, mix) if m]
-        qm = [q for q, m in zip(qs, mix) if m]
-        at = mixture_rows_at(pm, qm)
-
-        def f(x, k):
-            p, q = at(k)
-            return np.abs(mixture_pdf(x, *p) - mixture_pdf(x, *q))
-        values[mix], errors[mix] = _integrate_pairs(
-            f, pm, qm, abs_tol=_L1_TOL, rel_tol=_L1_TOL)
-    for i in np.flatnonzero(~mix):
-        p, q = ps[i], qs[i]
-        lo, hi, seeds = _envelope(p, q)
-        result = integrate(
-            lambda x: np.abs(np.asarray(p.pdf(x), dtype=float)
-                             - np.asarray(q.pdf(x), dtype=float)),
-            lo, hi, abs_tol=_L1_TOL, rel_tol=_L1_TOL, seed_points=seeds)
-        values[i], errors[i] = result.value, result.error_estimate
-    return values, errors
+    """Integral of |p - q| over the union of both supports for each pair
+    of densities, any kinds, in one ``integrate_many`` call:
+    (values, error estimates)."""
+    p, q = densities_at(ps), densities_at(qs)
+    return _integrate_pairs(lambda x, k: np.abs(p("pdf", x, k)
+                                                - q("pdf", x, k)),
+                            ps, qs, abs_tol=_L1_TOL, rel_tol=_L1_TOL)
 
 
 def l1_distance(p, q) -> float:
-    """Integral of |p - q| over the union of both supports."""
+    """Integral of |p - q| over the union of both supports: the one-pair
+    case of ``_l1_distances``."""
     return float(_l1_distances([p], [q])[0][0])
 
 
@@ -423,43 +411,6 @@ def counterexample_pair():
     return gaussian(0.0, 1.0), [gaussian(0.0, 0.5)]
 
 
-def _expected_scores(spec: ScoreSpec, forecasts, truths):
-    """Mean score of each forecast under its truth, with the summed
-    error estimate of its quadrature (0 for a closed form).
-
-    Pairs of Gaussian mixtures are stacked into padded rows and scored by
-    the rule's ``expected_exact`` in one call; the rows it leaves nan go
-    to the rule's ``expected_rows``, one ``integrate_many`` call for all
-    of them.  Any other pair takes ``expected_score``'s path on its own,
-    except that the Monte-Carlo energy family is refused.
-    """
-    rule = spec.rule
-    values, errors = np.zeros(len(forecasts)), np.zeros(len(forecasts))
-    mix = np.array([_both_mixtures(p, q) for p, q in zip(forecasts, truths)],
-                   dtype=bool)
-    if rule.monte_carlo and not mix.all():
-        raise ValueError(f"{spec.family} propriety margins need the closed "
-                         "form, which takes Gaussian mixtures only")
-    if mix.any():
-        rows = np.flatnonzero(mix)
-        values[rows] = rule.expected_exact(
-            spec, mixture_rows([forecasts[i] for i in rows]),
-            mixture_rows([truths[i] for i in rows]))
-        left = rows[np.isnan(values[rows])]
-        if len(left):
-            ps = [forecasts[i] for i in left]
-            qs = [truths[i] for i in left]
-
-            def integral(f):
-                out, errors[left] = _integrate_pairs(f, ps, qs)
-                return out
-            values[left] = rule.expected_rows(spec, ps, qs, integral)
-    for i in np.flatnonzero(~mix):
-        value, errors[i] = _expected(spec, forecasts[i], truths[i])
-        values[i] = value.value
-    return values, errors
-
-
 def propriety_check(spec: ScoreSpec, pairs=None, *,
                     n_pairs: int = 50, seed: int = 0,
                     tol: float = 1e-7) -> ProprietyReport:
@@ -582,116 +533,54 @@ def verify_witness(spec: ScoreSpec, p1, p2, y: float, *,
                          s1=s1, s2=s2, verified=verified)
 
 
-def _power_density_bound(alpha: float, sigma1: float) -> float:
-    """Largest p1(y) for which the power score of a width-sigma1 Gaussian
-    stays positive: (alpha-1)^(1/(alpha-1)) alpha^(-3/(2(alpha-1)))
-    / (sqrt(2 pi) sigma1)."""
-    e = 1.0 / (alpha - 1.0)
-    return ((alpha - 1.0) ** e * alpha ** (-1.5 * e)) / (_SQRT2PI * sigma1)
-
-
 def construct_witness(spec: ScoreSpec, r: float, *,
                       seed: Optional[int] = None,
                       n: int = 1_000_000) -> WitnessReport:
     """Build a verified witness for the requested density ratio.
 
-    Family recipes (p1 always denser at the outcome, yet scoring worse):
+    The family's ``RULES`` entry holds the recipe (``Rule.witness``): a
+    pair with p1 denser than p2 at the outcome, yet scoring worse.  The
+    crps recipe takes the offset bimodal pair (its ratio, about 2.6e21
+    or exactly inf for ``r = inf``, dominates any requested r); power
+    and pseudospherical recipes take two Gaussians with the ratio exact;
+    the energy recipe two narrow Gaussians whose width is solved for the
+    ratio, scored by Monte Carlo, so a seed is required.  The log-ratio
+    equations are bisected by ``sign_change_root`` to |f| <= 1e-9.
 
-    - crps: the offset bimodal pair; y sits at p2's median where p2 has
-      essentially no density, while p1 piles density right on y but has
-      its median one unit away.  The measured ratio (about 2.6e21, or
-      exactly inf for the piecewise-uniform variant used when
-      ``r = inf``) dominates any requested finite r.
-    - power(alpha): p1 = N(0, 1) evaluated where its density is half the
-      positivity bound, p2 = N(y (1 - r), r^2), which makes
-      p2(y) = p1(y) / r exactly and s2 = r^(1-alpha) s1 with s1 > 0.
-    - pseudospherical(beta): equal means, sigma2 large enough that the
-      wide forecast wins regardless of its density deficit at y; y then
-      solves the ratio equation by bisection on the log ratio.
-    - energy(beta): two narrow Gaussians at distances 1 (p2) and 2 (p1)
-      from y; p1's width is solved by bisection so the tail ratio at y
-      is exactly r, and its doubled distance costs roughly 2^beta
-      against p2's 1.  Monte-Carlo scores, so a seed is required.
-
-    Raises when the requested ratio is infeasible for the family recipe.
+    Raises when the family has no recipe or the requested ratio is
+    infeasible for it.
     """
-    r = float(r)
-    fam = spec.family
-    if fam == "crps":
-        if math.isinf(r):
-            p2 = PiecewiseUniform((-1.5, -0.5, 0.5, 1.5), (0.5, 0.0, 0.5))
-            p1 = PiecewiseUniform((-0.5, 0.5, 1.5, 2.5), (0.5, 0.0, 0.5))
-        else:
-            if not r > 1.0:
-                raise ValueError("witness ratio must exceed 1")
-            p2 = gaussian_mixture([(0.5, -1.0, 0.1), (0.5, 1.0, 0.1)])
-            p1 = gaussian_mixture([(0.5, 0.0, 0.1), (0.5, 2.0, 0.1)])
-            measured = float(p1.pdf(0.0)) / float(p2.pdf(0.0))
-            if measured < r:
-                raise ValueError(
-                    f"requested ratio {r:g} exceeds the bimodal construction's "
-                    f"density ratio {measured:.3g}")
-        report = verify_witness(spec, p1, p2, 0.0)
-    elif not math.isfinite(r) or not r > 1.0:
-        raise ValueError("witness ratio must be a finite number above 1")
-    elif fam == "power":
-        alpha = spec.alpha
-        sigma1 = 1.0
-        p_target = 0.5 * _power_density_bound(alpha, sigma1)
-        if p_target == 0.0:
-            raise ValueError(f"no power witness for alpha={alpha!r}: the "
-                             "recipe's density bound underflows to 0")
-        y = math.sqrt(-2.0 * math.log(p_target * _SQRT2PI * sigma1))
-        p1 = gaussian(0.0, sigma1)
-        p2 = gaussian(y * (1.0 - r), r * sigma1)
-        report = verify_witness(spec, p1, p2, y)
-    elif fam == "pseudospherical":
-        beta = spec.beta
-        sigma1 = 1.0
-        # s1 > s2 at ratio r needs sigma2 > r^(beta/(beta-1)) sigma1; the
-        # classic sigma2 > r^beta sigma1 condition is only sufficient for
-        # beta >= 2, so take whichever exponent is larger plus headroom.
-        exponent = max(beta, beta / (beta - 1.0))
-        if exponent * math.log(r) > 700.0:
-            raise ValueError(f"ratio {r:g} is infeasible for {spec.label()}: "
-                             f"the width 1.25 r^{exponent:g} exceeds e^700")
-        sigma2 = 1.25 * r ** exponent * sigma1
-        p1 = gaussian(0.0, sigma1)
-        p2 = gaussian(0.0, sigma2)
-        log_r = math.log(r)
-        slope = 0.5 * (1.0 / sigma1 ** 2 - 1.0 / sigma2 ** 2)
-        def f(y):
-            return math.log(sigma2 / sigma1) - slope * y * y - log_r
-        hi = 1.0
-        while f(hi) > 0.0:
-            hi *= 2.0
-        y = sign_change_root(f, 0.0, hi, tol=0.0, f_tol=_LOG_RATIO_TOL)
-        report = verify_witness(spec, p1, p2, y)
-    elif fam == "energy":
-        if seed is None:
-            raise ValueError("energy witnesses are scored by Monte Carlo "
-                             "and require an explicit seed")
-        y = 0.0
-        p2 = gaussian(y - 1.0, 0.1)
-        target = math.log(r * float(p2.pdf(y)))
-        def g(s):
-            return -math.log(s * _SQRT2PI) - 2.0 / (s * s) - target
-        sigma1 = sign_change_root(g, 0.15, 1.9, tol=0.0,
-                                  f_tol=_LOG_RATIO_TOL)
-        p1 = gaussian(y - 2.0, sigma1)
-        report = verify_witness(spec, p1, p2, y, seed=seed, n=n)
-    else:
-        raise ValueError(f"no witness construction for family {fam!r}")
+    witness = spec.rule.witness
+    if witness is None:
+        raise ValueError(f"no witness construction for family "
+                         f"{spec.family!r}")
+    p1, p2, y = witness(spec, float(r), lambda f, lo, hi: sign_change_root(
+        f, lo, hi, tol=0.0, f_tol=_LOG_RATIO_TOL))
+    if spec.rule.monte_carlo and seed is None:
+        raise ValueError(f"{spec.family} witnesses are scored by Monte "
+                         "Carlo and require an explicit seed")
+    report = verify_witness(spec, p1, p2, y, seed=seed, n=n)
     if not report.verified:
         raise RuntimeError(
             f"witness construction failed to verify for {spec.label()} "
-            f"at ratio {r:g}")
+            f"at ratio {float(r):g}")
     return report
 
 
 # ---------------------------------------------------------------------------
 # Transformation behaviour
 # ---------------------------------------------------------------------------
+
+def _relative(spec: ScoreSpec, system_a, system_b, y, seed, n):
+    """score(A, y) - score(B, y) at one outcome (a float), or along an
+    array of outcomes, each system scoring all of them in one call."""
+    a = score(spec, system_a, y, seed=seed, n=n)
+    b = score(spec, system_b, y, seed=seed, n=n)
+    if isinstance(a, ScoreValue):
+        return a.value - b.value
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
+        return a - b
+
 
 def relative_score_curve(spec: ScoreSpec, system_a, system_b,
                          y_grid: Sequence[float], *,
@@ -701,9 +590,7 @@ def relative_score_curve(spec: ScoreSpec, system_a, system_b,
     (y, relative) pairs; each system scores the whole grid in one
     ``score`` call."""
     ys = np.array([float(y) for y in y_grid])
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
-        relative = (score(spec, system_a, ys, seed=seed, n=n)
-                    - score(spec, system_b, ys, seed=seed, n=n))
+    relative = _relative(spec, system_a, system_b, ys, seed, n)
     return list(zip(ys.tolist(), relative.tolist()))
 
 
@@ -717,14 +604,10 @@ def transformed_relative_score(spec: ScoreSpec, system_a, system_b,
     and ``post`` compares their pushforwards at ``transform(y)``.
     """
     y = float(y)
-    pre = (score(spec, system_a, y, seed=seed, n=n).value
-           - score(spec, system_b, y, seed=seed, n=n).value)
-    ta = pushforward(system_a, transform)
-    tb = pushforward(system_b, transform)
     ystar = float(np.asarray(transform.forward(y), dtype=float))
-    post = (score(spec, ta, ystar, seed=seed, n=n).value
-            - score(spec, tb, ystar, seed=seed, n=n).value)
-    return pre, post
+    return (_relative(spec, system_a, system_b, y, seed, n),
+            _relative(spec, pushforward(system_a, transform),
+                      pushforward(system_b, transform), ystar, seed, n))
 
 
 @dataclass(frozen=True)
@@ -819,24 +702,18 @@ def find_preference_flip(spec: ScoreSpec, system_a, system_b,
     tb = pushforward(system_b, transform)
 
     def pre(y):
-        return (score(spec, system_a, y, seed=seed, n=n).value
-                - score(spec, system_b, y, seed=seed, n=n).value)
+        return _relative(spec, system_a, system_b, y, seed, n)
 
     def post(y):
-        ystar = float(np.asarray(transform.forward(y), dtype=float))
-        return (score(spec, ta, ystar, seed=seed, n=n).value
-                - score(spec, tb, ystar, seed=seed, n=n).value)
+        ystar = np.asarray(transform.forward(y), dtype=float)
+        return _relative(spec, ta, tb, ystar[()], seed, n)
 
     def product(y):
         return pre(y) * post(y)
 
     ys = np.linspace(lo, hi, grid_points)
-    ystar = np.asarray(transform.forward(ys), dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
-        values = ((score(spec, system_a, ys, seed=seed, n=n)
-                   - score(spec, system_b, ys, seed=seed, n=n))
-                  * (score(spec, ta, ystar, seed=seed, n=n)
-                     - score(spec, tb, ystar, seed=seed, n=n)))
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as for floats
+        values = pre(ys) * post(ys)
     finite = np.isfinite(values)
     flipped = finite & (values < 0.0)
     if not np.any(flipped):

@@ -17,14 +17,23 @@ call them with one row per record or pair (``mixture_rows`` stacks
 mixtures so); ``component_pairs`` pairs the components of two mixtures,
 and ``mixture_overlap`` integrates the product of two mixture densities.
 
+Batched quadrature reads lists of densities of any kind:
+``densities_at`` evaluates density k at the points of integral k (the
+mixtures from their padded rows, any other density through its own
+method), ``density_envelopes`` gives each density's support and seed
+points as nan-padded rows, and ``lp_norm_integrals`` integrates p^alpha
+for a whole list, in closed form where one exists and in one
+``integrate_many`` call for the rest.
+
 Gaussian supports are truncated at 12 standard deviations, where the
 omitted mass (< 1e-32 per component) is far below every tolerance used
 in this package.
 
 The module loads numpy only.  ``erf`` applies the C library's error
-function to an array; mixture cdfs take ``scipy.special.ndtr``, which
-is imported at the first cdf call, so closed-form scoring never loads
-scipy.
+function to an array; mixture cdfs (``mixture_cdf``) take
+``scipy.special.ndtr``, which is imported at the first cdf call, so
+closed-form scoring never loads scipy.  A histogram cell too narrow for
+its mass (an infinite height) is refused when the table is built.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate_many
 
 __all__ = [
     "GaussianComponent", "GaussianMixture", "PiecewiseUniform",
@@ -46,8 +55,8 @@ __all__ = [
     "affine_transform", "cubic_transform", "exp_transform",
     "pushforward", "lp_norm_integral", "lp_norm_integrals",
     "mixture_pdf", "mixture_log_pdf", "mixture_lp_integral",
-    "mixture_overlap", "mixture_rows", "mixture_rows_at",
-    "mixture_envelopes",
+    "mixture_cdf", "mixture_overlap", "mixture_rows", "densities_at",
+    "density_envelopes",
     "single_gaussian", "pad_rows",
     "component_pairs", "histogram_pdf", "histogram_lp_integral", "erf",
     "density_from_json", "density_to_json", "transform_from_json",
@@ -135,12 +144,23 @@ def mixture_pdf(x, w, mu, sigma) -> np.ndarray:
     with np.errstate(over="ignore"):
         # z * z overflows to inf past |z| ~ 1.3e154, and exp(-inf) = 0
         dens = np.exp(-0.5 * z * z)
-    coef = w / (sigma * _SQRT2PI)
-    if np.ndim(coef) == 1:
-        # One mixture: a matrix-vector product, the fast reduction for
-        # the long outcome arrays of quadrature.
-        return dens @ coef
-    return np.einsum("...k,...k->...", dens, coef)
+    return _row_dot(dens, w / (sigma * _SQRT2PI))
+
+
+def _row_dot(a, w) -> np.ndarray:
+    """sum_k a[..., k] w[..., k].  For one mixture (1-D ``w``) a
+    matrix-vector product, the fast reduction for the long outcome
+    arrays of quadrature; for per-point rows an einsum."""
+    if np.ndim(w) == 1:
+        return a @ w
+    return np.einsum("...k,...k->...", a, w)
+
+
+def mixture_cdf(x, w, mu, sigma) -> np.ndarray:
+    """Cdf of Gaussian mixtures at x, clipped to [0, 1]; shapes as for
+    ``mixture_pdf``."""
+    z = (np.asarray(x, dtype=float)[..., None] - mu) / sigma
+    return np.clip(_row_dot(_ndtr(z), w), 0.0, 1.0)
 
 
 def mixture_log_pdf(x, w, mu, sigma) -> np.ndarray:
@@ -206,36 +226,69 @@ def pad_rows(rows, fill=None) -> np.ndarray:
 
 def mixture_rows(mixtures):
     """Weights, means and sds of Gaussian mixtures as padded (n, K) rows;
-    a padding component has weight 0, mean 0 and sd 1."""
+    a padding component has weight 0, mean 0 and sd 1.  One mixture is
+    its own parameters, as one row."""
+    if len(mixtures) == 1:
+        d = mixtures[0]
+        return d.weights[None], d.means[None], d.stddevs[None]
     return (pad_rows([d.weights for d in mixtures], 0.0),
             pad_rows([d.means for d in mixtures], 0.0),
             pad_rows([d.stddevs for d in mixtures], 1.0))
 
 
-def mixture_rows_at(*lists):
-    """For lists of n Gaussian mixtures each, a function of an index
-    array k that gives, per list, the padded (w, mu, sigma) rows of its
-    mixtures k (``mixture_rows``, all lists padded to one width).
+def densities_at(densities):
+    """For a list of densities, the function ``at(method, x, k)`` giving
+    ``method`` ("pdf", "log_pdf" or "cdf") of density ``k[j]`` at
+    ``x[j]``: how an ``integrate_many`` integrand f(x, k) reads the
+    densities of its integrals.
 
-    The rows are gathered in one ``np.take``, the cheap gather for an
-    ``integrate_many`` integrand f(x, k) that reads one mixture per list
-    for each point's integral k.
+    Gaussian mixtures go through the broadcasting kernels on their
+    padded rows (``mixture_rows``), gathered per point in one
+    ``np.take``; a list holding a single mixture passes its own 1-D
+    parameters, so that mixture rounds as its own method does.  Any
+    other density calls its own method once on the points of each of
+    its integrals.
     """
-    n = len(lists[0])
-    rows = np.stack(mixture_rows([d for ds in lists for d in ds]))
-    rows = np.ascontiguousarray(
-        rows.reshape(3, len(lists), n, -1).swapaxes(0, 1))
-    return lambda k: np.take(rows, k, axis=2)
+    kernels = {"pdf": mixture_pdf, "log_pdf": mixture_log_pdf,
+               "cdf": mixture_cdf}
+    mix = np.array([isinstance(d, GaussianMixture) for d in densities],
+                   dtype=bool)
+    mixtures = [d for d, m in zip(densities, mix) if m]
+    if len(mixtures) == 1:
+        own = (mixtures[0].weights, mixtures[0].means, mixtures[0].stddevs)
+        rows = lambda j: own  # noqa: E731
+    elif mixtures:
+        stacked = np.stack(mixture_rows(mixtures))
+        rows = lambda j: np.take(stacked, j, axis=1)  # noqa: E731
+    if mix.all():
+        return lambda method, x, k: kernels[method](x, *rows(k))
+    local = np.cumsum(mix) - 1  # each mixture's index among the mixtures
+
+    def at(method, x, k):
+        out = np.empty(len(x))
+        on = mix[k]
+        if on.any():
+            out[on] = kernels[method](x[on], *rows(local[k[on]]))
+        for i in np.unique(k[~on]):
+            sel = k == i
+            out[sel] = getattr(densities[i], method)(x[sel])
+        return out
+    return at
 
 
-def mixture_envelopes(mixtures):
-    """Support bounds and seed points of each of a list of Gaussian
-    mixtures (``GaussianMixture.support`` and ``quad_seed_points``):
-    arrays lo and hi, and nan-padded rows of seeds, unsorted and with
-    repeats, as ``integrate_many`` takes them."""
-    return _mixture_envelope(pad_rows([d.means for d in mixtures], math.nan),
-                            pad_rows([d.stddevs for d in mixtures],
-                                     math.nan))
+def density_envelopes(densities):
+    """Support bounds and seed points of each of a list of densities
+    (``support`` and ``quad_seed_points``): arrays lo and hi, and
+    nan-padded rows of seeds, unsorted and with repeats, as
+    ``integrate_many`` takes them.  A list of Gaussian mixtures takes
+    them from its padded means and sds in one pass."""
+    if all(isinstance(d, GaussianMixture) for d in densities):
+        return _mixture_envelope(
+            pad_rows([d.means for d in densities], math.nan),
+            pad_rows([d.stddevs for d in densities], math.nan))
+    lo, hi = np.array([d.support() for d in densities], dtype=float).T
+    return lo, hi, pad_rows([d.quad_seed_points() for d in densities],
+                            math.nan)
 
 
 def _mixture_envelope(mu, sigma):
@@ -444,10 +497,8 @@ class GaussianMixture(_DensityBase):
         return _scalar_or_array(x, lp)
 
     def cdf(self, x):
-        xa = _as_float_array(x)
-        z = (xa[..., None] - self._mu) / self._sigma
-        vals = _ndtr(z) @ self._w
-        return _scalar_or_array(x, np.clip(vals, 0.0, 1.0))
+        return _scalar_or_array(x, mixture_cdf(_as_float_array(x), self._w,
+                                               self._mu, self._sigma))
 
     def cdf_minus(self, x: float, p: float) -> float:
         # Components sitting below x are folded through their survival
@@ -505,16 +556,24 @@ class PiecewiseUniform(_DensityBase):
             raise ValueError("breaks and masses must be finite")
         if ms.ndim != 1 or ms.size != br.size - 1:
             raise ValueError("masses must have one entry per cell")
-        if not np.all(np.diff(br) > 0.0):
+        widths = np.diff(br)
+        if not np.all(widths > 0.0):
             raise ValueError("breaks must be strictly increasing")
         if np.any(ms < 0.0):
             raise ValueError("masses must be non-negative")
         total = math.fsum(float(m) for m in ms)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"masses must sum to 1 (got {total!r})")
+        if widths.min() < sys.float_info.min:
+            # no mass exceeds 1, so only a subnormal width can make a
+            # cell's height overflow
+            with np.errstate(over="ignore"):
+                if not np.isfinite(ms / widths).all():
+                    raise ValueError("cell heights must be finite: a cell "
+                                     "is too narrow for its mass")
         self.breaks = br
         self.masses = ms
-        self._heights = ms / np.diff(br)
+        self._heights = ms / widths
         self._cum = np.concatenate([[0.0], np.cumsum(ms)])
 
     def __repr__(self):
@@ -807,61 +866,52 @@ def _check_sample_size(n) -> int:
 
 
 def lp_norm_integral(d, alpha: float, *, method: str = "auto") -> float:
-    """Integral of pdf**alpha over the support, for alpha > 1.
+    """Integral of pdf**alpha over the support, for alpha > 1: the
+    one-density case of ``lp_norm_integrals``."""
+    return float(lp_norm_integrals([d], alpha, method=method)[0])
 
-    ``method="auto"`` uses a closed form where one exists and adaptive
-    quadrature otherwise.  Closed forms exist for a piecewise-uniform
-    table (every alpha), a single Gaussian (every alpha) and a Gaussian
-    mixture at alpha = 2; ``mixture_lp_integral`` and
-    ``histogram_lp_integral`` hold them.  Pushforwards and other powers
-    of multi-component mixtures are integrated.  ``method="quadrature"``
-    always integrates, which is how the closed forms are
-    cross-validated; a divergent integral (the cubic pushforward of a
-    Gaussian for alpha >= 1.5) raises ``QuadratureError``.
+
+def lp_norm_integrals(densities, alpha: float, *,
+                      method: str = "auto") -> np.ndarray:
+    """Integral of pdf**alpha over the support of each of a list of
+    densities, for alpha > 1.
+
+    ``method="auto"`` uses a closed form where one exists: a
+    piecewise-uniform table (every alpha, ``histogram_lp_integral``), a
+    single Gaussian (every alpha) and a Gaussian mixture at alpha = 2
+    (``mixture_lp_integral``, on the padded rows of all the mixtures).
+    The rest, pushforwards and other powers of multi-component mixtures,
+    share one ``integrate_many`` call, each over its own support, cut at
+    its own seed points.  ``method="quadrature"`` integrates every
+    density, which is how the closed forms are cross-validated; a
+    divergent integral (the cubic pushforward of a Gaussian for
+    alpha >= 1.5) raises ``QuadratureError``.
     """
     alpha = float(alpha)
     if not alpha > 1.0:
         raise ValueError("alpha must exceed 1")
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-
+    out = np.full(len(densities), np.nan)
     if method == "auto":
-        value = math.nan
-        if isinstance(d, GaussianMixture):
-            value = float(mixture_lp_integral(d.weights, d.means, d.stddevs,
-                                              alpha))
-        elif isinstance(d, PiecewiseUniform):
-            value = float(histogram_lp_integral(d.breaks, d.masses, alpha))
-        if not math.isnan(value):
-            return value
-
-    lo, hi = d.support()
-    with np.errstate(over="ignore"):
-        result = integrate(lambda x: d.pdf(x) ** alpha, lo, hi,
-                           abs_tol=_NORM_ABS_TOL, rel_tol=_NORM_REL_TOL,
-                           seed_points=d.quad_seed_points())
-    return result.value
-
-
-def lp_norm_integrals(mixtures, alpha: float) -> np.ndarray:
-    """``lp_norm_integral`` of each of a list of Gaussian mixtures.
-
-    The closed form ``mixture_lp_integral`` on their padded rows where
-    one exists; the other rows share one ``integrate_many`` call, each
-    over its own support, cut at its own seed points, with the
-    tolerances of ``lp_norm_integral``.
-    """
-    cols = mixture_rows(mixtures)
-    out = mixture_lp_integral(*cols, float(alpha))
-    rows = np.flatnonzero(np.isnan(out))
-    if len(rows):
-        left = [mixtures[i] for i in rows]
-        at = mixture_rows_at(left)
-        lo, hi, seeds = mixture_envelopes(left)
-        out[rows] = integrate_many(
-            lambda x, k: mixture_pdf(x, *at(k)[0]) ** alpha,
-            lo, hi, abs_tol=_NORM_ABS_TOL, rel_tol=_NORM_REL_TOL,
-            seed_points=seeds)[0]
+        mix = [i for i, d in enumerate(densities)
+               if isinstance(d, GaussianMixture)]
+        if mix:
+            out[mix] = mixture_lp_integral(
+                *mixture_rows([densities[i] for i in mix]), alpha)
+        for i, d in enumerate(densities):
+            if isinstance(d, PiecewiseUniform):
+                out[i] = histogram_lp_integral(d.breaks, d.masses, alpha)
+    rest = np.flatnonzero(np.isnan(out))
+    if len(rest):
+        left = [densities[i] for i in rest]
+        at = densities_at(left)
+        lo, hi, seeds = density_envelopes(left)
+        with np.errstate(over="ignore"):
+            out[rest] = integrate_many(
+                lambda x, k: at("pdf", x, k) ** alpha, lo, hi,
+                abs_tol=_NORM_ABS_TOL, rel_tol=_NORM_REL_TOL,
+                seed_points=seeds)[0]
     return out
 
 

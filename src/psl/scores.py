@@ -27,13 +27,13 @@ expectation.  The families:
 
 ``RULES`` is the single registry of the families: one ``Rule`` per
 family holds its parameter and valid range, its propriety and locality
-flags, whether it draws Monte-Carlo samples (and so needs a seed), and
-how it is evaluated pointwise, in expectation under a truth density (in
+flags, whether it draws Monte-Carlo samples (and so needs a seed), how
+it is evaluated pointwise, in expectation under a truth density (in
 closed form on padded Gaussian-mixture rows where one exists, else by
-quadrature, one pair at a time or many in one batch), and over the
-records of an archive.  ``ScoreSpec``, ``score``,
-``analysis`` and ``archive`` read the table instead of testing family
-names.
+one batched quadrature over pairs of densities of any kind), and over
+the records of an archive, and its recipe for implausibility witnesses.
+``ScoreSpec``, ``score``, ``analysis`` and ``archive`` read the table
+instead of testing family names.
 
 The CRPS of Gaussian mixtures and of histograms has closed forms,
 evaluated by the broadcasting kernels ``mixture_crps`` and
@@ -57,11 +57,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import (GaussianMixture, PiecewiseUniform,
-                            component_pairs, erf, lp_norm_integral,
-                            mixture_log_pdf, mixture_lp_integral,
-                            lp_norm_integrals,
-                            mixture_overlap, mixture_pdf, mixture_rows_at,
-                            single_gaussian)
+                            component_pairs, densities_at, erf, gaussian,
+                            gaussian_mixture, lp_norm_integral,
+                            lp_norm_integrals, mixture_lp_integral,
+                            mixture_overlap, single_gaussian)
 from .quadrature import integrate_many
 
 __all__ = [
@@ -109,21 +108,26 @@ class Rule:
 
     - ``pointwise(spec, d, y, seed, n, density_floor)`` scores one
       outcome or a 1-D array of them (see ``score``);
-    - ``expected(spec, forecast, truth, integral, seed, n)`` is the mean
-      score under ``truth`` of one pair of densities (``integral(f)``
-      integrates ``f(x)`` over both supports);
+    - ``expected(spec, forecasts, truths, integral)`` is the mean score
+      of each forecast under its truth, for two lists of densities of
+      any kind, as an array: ``integral(f)`` integrates ``f(x, k)`` over
+      the supports of pair ``k`` for every pair in one batch, and
+      ``distributions.densities_at`` reads the densities of pair ``k``
+      inside ``f``; a forecast with no density where its truth has mass
+      has ignorance +inf.  A ``monte_carlo`` family's
+      ``expected(spec, forecast, truth, seed, n)`` instead estimates one
+      pair from seeded draws, as a ``ScoreValue`` with a stderr;
     - ``expected_exact(spec, p_cols, q_cols)`` is the mean score of each
       forecast row under its truth row, both padded ``(w, mu, sigma)``
       mixture rows (``distributions.mixture_rows``), in closed form; nan
       for the rows it has none for;
-    - ``expected_rows(spec, forecasts, truths, integral)`` is the mean
-      score of each Gaussian mixture forecast under its mixture truth by
-      quadrature, with ``integral(f)`` integrating ``f(x, k)`` over the
-      supports of pair ``k`` for every pair in one batch; it serves the
-      rows ``expected_exact`` leaves nan;
     - ``columnar(spec, columns, density_floor)`` scores one archive
       system (``archive._SystemColumns``) in one numpy pass, nan for the
-      records no closed form reaches.
+      records no closed form reaches;
+    - ``witness(spec, r, root)`` builds a witness ``(p1, p2, y)``: p1
+      has at least r times p2's density at y yet scores worse.
+      ``root(f, lo, hi)`` solves f = 0 on a sign-changing bracket; a
+      ratio the recipe cannot reach raises ``ValueError``.
 
     They call score functions by module-global name at call time, so
     rebinding a global reaches every family.
@@ -131,9 +135,9 @@ class Rule:
 
     pointwise: Callable
     expected: Callable
-    expected_exact: Optional[Callable] = None
-    expected_rows: Optional[Callable] = None
+    expected_exact: Callable
     columnar: Optional[Callable] = None
+    witness: Optional[Callable] = None
     param: Optional[str] = None
     bounds: tuple = (-math.inf, math.inf)
     local: bool = False
@@ -515,36 +519,22 @@ def crps_outcome_derivative(d, y) -> float:
 # The rule table
 # ---------------------------------------------------------------------------
 
-class _InfiniteIgnorance(Exception):
-    """Signal that the truth puts mass where the forecast has none."""
-
-
-def _expected_ignorance(spec, forecast, truth, integral, seed, n):
-    def f(x):
-        q = np.asarray(truth.pdf(x), dtype=float)
-        out = np.zeros_like(q)
-        m = q > 0.0
-        if np.any(m):
-            lp = np.asarray(forecast.log_pdf(np.asarray(x)[m]), dtype=float)
-            if np.any(np.isinf(lp)):
-                raise _InfiniteIgnorance
-            out[m] = -lp * q[m] * _INV_LN2
-        return out
-    try:
-        return ScoreValue(integral(f))
-    except _InfiniteIgnorance:
-        return ScoreValue(math.inf, infinite=True)
-
-
-def _expected_ignorance_rows(spec, forecasts, truths, integral):
-    """integral(-log2 p q) per mixture pair; a mixture's log density is
-    finite everywhere, so no pair is infinite."""
-    at = mixture_rows_at(forecasts, truths)
+def _expected_ignorance(spec, forecasts, truths, integral):
+    """integral(-log2 p q) per pair; +inf for a pair whose forecast has
+    no density where its truth has mass: the integrand writes 0 at such
+    a point and flags that pair alone."""
+    p, q = densities_at(forecasts), densities_at(truths)
+    infinite = np.zeros(len(forecasts), dtype=bool)
 
     def f(x, k):
-        p, q = at(k)
-        return -mixture_log_pdf(x, *p) * mixture_pdf(x, *q) * _INV_LN2
-    return integral(f)
+        dq, lp = q("pdf", x, k), p("log_pdf", x, k)
+        none = lp == -np.inf
+        if none.any():
+            infinite[k[none & (dq > 0.0)]] = True
+            lp = np.where(none, 0.0, lp)
+        return -lp * dq * _INV_LN2
+    value = integral(f)
+    return np.where(infinite, np.inf, value)
 
 
 def _expected_ignorance_exact(spec, p, q):
@@ -558,37 +548,28 @@ def _expected_ignorance_exact(spec, p, q):
     return np.where(one_p & one_q, ignorance_bits(log_density), np.nan)
 
 
-def _expected_crps(spec, forecast, truth, integral, seed, n):
-    """integral((F_p - F_q)^2) + integral(F_q (1 - F_q))."""
-    def f(x):
-        fp = np.asarray(forecast.cdf(x), dtype=float)
-        fq = np.asarray(truth.cdf(x), dtype=float)
+def _expected_crps(spec, forecasts, truths, integral):
+    """integral((F_p - F_q)^2) + integral(F_q (1 - F_q)) per pair."""
+    p, q = densities_at(forecasts), densities_at(truths)
+
+    def f(x, k):
+        fp, fq = p("cdf", x, k), q("cdf", x, k)
         return (fp - fq) ** 2 + fq * (1.0 - fq)
-    return ScoreValue(integral(f))
+    return integral(f)
 
 
-def _expected_density_rule(term: Callable, finish: Callable) -> dict:
-    """The ``expected`` and ``expected_rows`` evaluators of a rule that
-    reads the forecast through p(y): the integral of term(spec, p) q,
-    completed by finish(spec, value, norm) with the rule's norm part,
-    where norm(k) is the integral of p^k (per row, for ``expected_rows``:
-    one batched ``lp_norm_integrals`` call)."""
-    def expected(spec, forecast, truth, integral, seed, n):
-        value = integral(
-            lambda x: term(spec, np.asarray(forecast.pdf(x), dtype=float))
-            * np.asarray(truth.pdf(x), dtype=float))
-        return ScoreValue(finish(spec, value,
-                                 lambda k: lp_norm_integral(forecast, k)))
-
-    def expected_rows(spec, forecasts, truths, integral):
-        at = mixture_rows_at(forecasts, truths)
-
-        def f(x, k):
-            p, q = at(k)
-            return term(spec, mixture_pdf(x, *p)) * mixture_pdf(x, *q)
-        return finish(spec, integral(f),
-                      lambda k: lp_norm_integrals(forecasts, k))
-    return dict(expected=expected, expected_rows=expected_rows)
+def _expected_density_rule(term: Callable, finish: Callable) -> Callable:
+    """The ``expected`` evaluator of a rule that reads the forecast
+    through p(y): the integral of term(spec, p) q per pair, completed by
+    finish(spec, value, norm) with the rule's norm part, where norm(k)
+    is the integral of p^k per forecast (one ``lp_norm_integrals``
+    call)."""
+    def expected(spec, forecasts, truths, integral):
+        p, q = densities_at(forecasts), densities_at(truths)
+        value = integral(lambda x, k: term(spec, p("pdf", x, k))
+                         * q("pdf", x, k))
+        return finish(spec, value, lambda k: lp_norm_integrals(forecasts, k))
+    return expected
 
 
 def _expected_at_two(rule: Callable, k: float, p, q) -> np.ndarray:
@@ -612,13 +593,98 @@ def _columnar_norm_rule(rule: Callable, columns, k: float) -> np.ndarray:
     return columns.stacked(kernel)
 
 
+def _finite_ratio(r: float) -> float:
+    if not (math.isfinite(r) and r > 1.0):
+        raise ValueError("witness ratio must be a finite number above 1")
+    return r
+
+
+def _crps_witness(spec, r, root):
+    """The offset bimodal pair: y = 0 sits at p2's median where p2 has
+    essentially no density, while p1 piles density right on y but has
+    its median one unit away.  The measured ratio (about 2.6e21, or
+    exactly inf for the piecewise-uniform variant used when r = inf)
+    dominates any requested finite r."""
+    if math.isinf(r):
+        p2 = PiecewiseUniform((-1.5, -0.5, 0.5, 1.5), (0.5, 0.0, 0.5))
+        p1 = PiecewiseUniform((-0.5, 0.5, 1.5, 2.5), (0.5, 0.0, 0.5))
+        return p1, p2, 0.0
+    if not r > 1.0:
+        raise ValueError("witness ratio must exceed 1")
+    p2 = gaussian_mixture([(0.5, -1.0, 0.1), (0.5, 1.0, 0.1)])
+    p1 = gaussian_mixture([(0.5, 0.0, 0.1), (0.5, 2.0, 0.1)])
+    measured = float(p1.pdf(0.0)) / float(p2.pdf(0.0))
+    if measured < r:
+        raise ValueError(
+            f"requested ratio {r:g} exceeds the bimodal construction's "
+            f"density ratio {measured:.3g}")
+    return p1, p2, 0.0
+
+
+def _power_density_bound(alpha: float, sigma1: float) -> float:
+    """Largest p1(y) for which the power score of a width-sigma1 Gaussian
+    stays positive: (alpha-1)^(1/(alpha-1)) alpha^(-3/(2(alpha-1)))
+    / (sqrt(2 pi) sigma1)."""
+    e = 1.0 / (alpha - 1.0)
+    return ((alpha - 1.0) ** e * alpha ** (-1.5 * e)) / (_SQRT2PI * sigma1)
+
+
+def _power_witness(spec, r, root):
+    """p1 = N(0, 1) evaluated where its density is half the positivity
+    bound, p2 = N(y (1 - r), r^2), which makes p2(y) = p1(y) / r exactly
+    and s2 = r^(1-alpha) s1 with s1 > 0."""
+    r, alpha, sigma1 = _finite_ratio(r), spec.alpha, 1.0
+    p_target = 0.5 * _power_density_bound(alpha, sigma1)
+    if p_target == 0.0:
+        raise ValueError(f"no power witness for alpha={alpha!r}: the "
+                         "recipe's density bound underflows to 0")
+    y = math.sqrt(-2.0 * math.log(p_target * _SQRT2PI * sigma1))
+    return gaussian(0.0, sigma1), gaussian(y * (1.0 - r), r * sigma1), y
+
+
+def _pseudospherical_witness(spec, r, root):
+    """Equal means, sigma2 large enough that the wide forecast wins
+    regardless of its density deficit at y; y then solves the ratio
+    equation by bisection on the log ratio."""
+    r, beta, sigma1 = _finite_ratio(r), spec.beta, 1.0
+    # s1 > s2 at ratio r needs sigma2 > r^(beta/(beta-1)) sigma1; the
+    # classic sigma2 > r^beta sigma1 condition is only sufficient for
+    # beta >= 2, so take whichever exponent is larger plus headroom.
+    exponent = max(beta, beta / (beta - 1.0))
+    if exponent * math.log(r) > 700.0:
+        raise ValueError(f"ratio {r:g} is infeasible for {spec.label()}: "
+                         f"the width 1.25 r^{exponent:g} exceeds e^700")
+    sigma2 = 1.25 * r ** exponent * sigma1
+    log_r = math.log(r)
+    slope = 0.5 * (1.0 / sigma1 ** 2 - 1.0 / sigma2 ** 2)
+
+    def f(y):
+        return math.log(sigma2 / sigma1) - slope * y * y - log_r
+    hi = 1.0
+    while f(hi) > 0.0:
+        hi *= 2.0
+    return gaussian(0.0, sigma1), gaussian(0.0, sigma2), root(f, 0.0, hi)
+
+
+def _energy_witness(spec, r, root):
+    """Two narrow Gaussians at distances 1 (p2) and 2 (p1) from y = 0;
+    p1's width is solved by bisection so the tail ratio at y is exactly
+    r, and its doubled distance costs roughly 2^beta against p2's 1."""
+    r, y = _finite_ratio(r), 0.0
+    p2 = gaussian(y - 1.0, 0.1)
+    target = math.log(r * float(p2.pdf(y)))
+
+    def g(s):
+        return -math.log(s * _SQRT2PI) - 2.0 / (s * s) - target
+    return gaussian(y - 2.0, root(g, 0.15, 1.9)), p2, y
+
+
 RULES = {
     "ignorance": Rule(
         pointwise=lambda s, d, y, seed, n, floor: ignorance(
             d, y, density_floor=floor),
         expected=_expected_ignorance,
         expected_exact=_expected_ignorance_exact,
-        expected_rows=_expected_ignorance_rows,
         columnar=lambda s, columns, floor: ignorance_bits(columns.log_pdf(),
                                                           floor),
         local=True),
@@ -627,28 +693,31 @@ RULES = {
         expected=_expected_crps,
         expected_exact=lambda s, p, q: mixture_energy(*p, *q, 1.0),
         columnar=lambda s, columns, floor: columns.stacked(
-            lambda stack: stack.crps())),
+            lambda stack: stack.crps()),
+        witness=_crps_witness),
     "energy": Rule(
         pointwise=lambda s, d, y, seed, n, floor: energy_score(
             d, y, s.beta, seed=seed, n=n),
-        expected=lambda s, forecast, truth, integral, seed, n:
-            _energy_estimate(forecast, s.beta, seed, n, truth=truth),
+        expected=lambda s, forecast, truth, seed, n: _energy_estimate(
+            forecast, s.beta, seed, n, truth=truth),
         expected_exact=lambda s, p, q: mixture_energy(*p, *q, s.beta),
+        witness=_energy_witness,
         param="beta", bounds=(0.0, 2.0), monte_carlo=True),
     "power": Rule(
         pointwise=lambda s, d, y, seed, n, floor: power_score(d, y, s.alpha),
-        **_expected_density_rule(
+        expected=_expected_density_rule(
             lambda s, p: -s.alpha * p ** (s.alpha - 1.0),
             lambda s, value, norm: value + (s.alpha - 1.0) * norm(s.alpha)),
         expected_exact=lambda s, p, q: _expected_at_two(power_rule, s.alpha,
                                                         p, q),
         columnar=lambda s, columns, floor: _columnar_norm_rule(
             power_rule, columns, s.alpha),
+        witness=_power_witness,
         param="alpha", bounds=(1.0, math.inf)),
     "pseudospherical": Rule(
         pointwise=lambda s, d, y, seed, n, floor: pseudospherical_score(
             d, y, s.beta),
-        **_expected_density_rule(
+        expected=_expected_density_rule(
             lambda s, p: -p ** (s.beta - 1.0),
             lambda s, value, norm: value / norm(s.beta) ** (
                 (s.beta - 1.0) / s.beta)),
@@ -656,11 +725,12 @@ RULES = {
             pseudospherical_rule, s.beta, p, q),
         columnar=lambda s, columns, floor: _columnar_norm_rule(
             pseudospherical_rule, columns, s.beta),
+        witness=_pseudospherical_witness,
         param="beta", bounds=(1.0, math.inf)),
     "naive_linear": Rule(
         pointwise=lambda s, d, y, seed, n, floor: naive_linear_score(d, y),
-        **_expected_density_rule(lambda s, p: -p,
-                                 lambda s, value, norm: value),
+        expected=_expected_density_rule(lambda s, p: -p,
+                                        lambda s, value, norm: value),
         expected_exact=lambda s, p, q: -mixture_overlap(*p, *q),
         columnar=lambda s, columns, floor: columns.stacked(
             lambda stack: -stack.pdf()),

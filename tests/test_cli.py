@@ -121,6 +121,16 @@ def test_expected_divergent_integral_is_numerical_failure(capsys):
     assert err.startswith("numerical failure:") and "diverge" in err
 
 
+def test_expected_rejects_overflowing_histogram_cell(capsys):
+    # 0.5 / 5e-324 overflows: a usage error, not an answer after warnings
+    narrow = ('{"type": "piecewise_uniform", "breaks": [0, 5e-324, 1], '
+              '"masses": [0.5, 0.5]}')
+    code, out, err = run(["expected", "--family", "crps",
+                          "--density", narrow, "--truth", STD_JSON], capsys)
+    assert (code, out) == (2, "")
+    assert "cell heights must be finite" in err
+
+
 def test_energy_needs_a_seed(capsys, monkeypatch):
     monkeypatch.delenv("PSL_DEFAULT_SEED", raising=False)
     code, _, err = run(["score", "--family", "energy", "--beta", "1",

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,12 @@ def test_piecewise_validation():
         PiecewiseUniform(breaks=(0.0, 0.0, 1.0), masses=(0.5, 0.5))
     with pytest.raises(ValueError):
         PiecewiseUniform(breaks=(0.0, 1.0), masses=(0.7,))
+    # a cell too narrow for its mass has an infinite height: refused
+    # when built, not warned of and carried into inf or nan scores
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cell heights must be finite"):
+            PiecewiseUniform(breaks=(0.0, 5e-324, 1.0), masses=(0.5, 0.5))
     # zero-mass cells are allowed
     d = PiecewiseUniform(breaks=(0.0, 1.0, 2.0, 3.0), masses=(0.5, 0.0, 0.5))
     assert d.pdf(1.5) == 0.0

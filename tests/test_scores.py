@@ -1,8 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import psl
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +38,17 @@ STD = gaussian(0.0, 1.0)
 def test_family_registry():
     assert set(FAMILIES) == {"ignorance", "crps", "energy", "power",
                              "pseudospherical", "naive_linear"}
+
+
+def test_no_family_name_ladders():
+    # per-family behaviour lives in the RULES table, not in branches on
+    # the family's name
+    ladder = re.compile(r'(fam|family|name) (==|!=|in) \(?"')
+    hits = [f"{path.name}:{i}"
+            for path in sorted(Path(psl.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if ladder.search(line)]
+    assert hits == []
 
 
 @pytest.mark.parametrize("family,kw", [
